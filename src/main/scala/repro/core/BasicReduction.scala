@@ -1,13 +1,17 @@
 package repro.core
 
 import scala.collection.mutable
-import repro.tdn.TimedEdge
+import repro.tdn.{Tdn, TimedEdge}
 
 /** BasicReduction (Alg. 2): L SieveADN instances, where instance A_i processes
   * every arriving edge with lifetime ≥ i. After each step the head instance
   * (A_1, which by construction has processed exactly the alive edges of G_t)
   * produces the solution and is terminated; the rest shift left; a fresh
   * instance joins at the tail.
+  *
+  * The L instances share the tracker's one TDN graph: A_i at time t is the
+  * cutoff t + i over it (see [[SieveAdn]]). Lifetimes above L are capped at L
+  * before edges enter the TDN, since A_L is the last instance they reach.
   *
   * (1/2 − ε)-approximate (Theorem 4); time/space are L× SieveADN (Theorem 5) —
   * this is the paper's deliberately heavy baseline that HistApprox improves.
@@ -21,10 +25,12 @@ final class BasicReduction(
 ) extends StreamingInfluenceAlgo {
   require(maxLifetime >= 1, "L must be >= 1")
 
+  private val tdn   = new Tdn
+  private val graph = tdn.toDigraph(universe)
   // Head (index 0) is A_1.
-  private val instances = mutable.ArrayDeque.fill(maxLifetime)(newInstance())
+  private val instances = mutable.ArrayDeque.tabulate(maxLifetime)(i => newInstance(i + 1))
 
-  private def newInstance(): SieveAdn = new SieveAdn(k, eps, universe, counter)
+  private def newInstance(cutoff: Int): SieveAdn = new SieveAdn(k, eps, counter, graph, cutoff)
 
   override def name: String = "BasicReduction"
 
@@ -32,17 +38,11 @@ final class BasicReduction(
   def instance(i: Int): SieveAdn = instances(i - 1)
 
   override def observe(batch: Seq[TimedEdge]): Unit = {
-    if (batch.isEmpty) return
-    // Edges with lifetime l feed A_1..A_min(l,L); feed each instance the
-    // suffix of the batch whose lifetime reaches it (Alg. 2 line 3).
-    val sorted = batch.sortBy(-_.lifetime)
-    var i      = 0
-    while (i < maxLifetime) {
-      val sub = sorted.takeWhile(_.lifetime >= i + 1)
-      if (sub.isEmpty) return
-      instances(i).process(sub.map(e => (e.u, e.v)))
-      i += 1
-    }
+    // Alg. 2 line 3: A_i takes the new edges with lifetime ≥ i, i.e. expiry
+    // reaching its cutoff.
+    val capped   = batch.map(e => if (e.lifetime > maxLifetime) e.copy(lifetime = maxLifetime) else e)
+    val arrivals = SieveAdn.addTo(tdn, graph, capped)
+    if (arrivals.nonEmpty) instances.foreach(_.feed(arrivals))
   }
 
   override def querySolution: Seq[Int] = instances.head.solution
@@ -52,7 +52,8 @@ final class BasicReduction(
 
   override def endStep(): Unit = {
     instances.removeHead() // terminate A_1
-    instances.append(newInstance()) // create A_L for t+1
+    tdn.advance()
+    instances.append(newInstance(tdn.now + maxLifetime)) // create A_L for t+1
   }
 
   override def oracleCalls: Long = counter.calls

@@ -1,41 +1,39 @@
 package repro.core
 
 import java.util.{BitSet => JBitSet}
-import scala.collection.mutable.ArrayBuffer
 
-/** Mutable directed graph over a dense integer node universe `[0, universe)`.
+/** Mutable directed graph over a dense integer node universe `[0, universe)`
+  * whose edges carry an expiry time.
   *
   * This is the reachability substrate of the influence oracle (Definition 3 in
   * the paper): nodes are interaction endpoints, edges are (deduplicated)
   * influence relations. Multi-edges in the TDN collapse to one adjacency entry
-  * here because multiplicity does not change reachability — interaction
-  * multiplicity only matters for the IC-model baselines ([[repro.ic.IcGraph]]).
+  * here, holding the largest expiry they were added with, because multiplicity
+  * does not change reachability — interaction multiplicity only matters for
+  * the IC-model baselines ([[repro.ic.IcGraph]]).
+  *
+  * Expiries let one graph serve many views: a BFS with cutoff `from` skips
+  * edges whose expiry is below it. The TDN's single live graph is shared this
+  * way by every SieveADN instance of a tracker, each viewing the alive edges
+  * with expiry ≥ its own cutoff (see [[SieveAdn]]). Edges added without an
+  * expiry never expire.
   *
   * Both forward and reverse adjacency are kept: forward BFS computes influence
   * spread; reverse BFS computes the candidate set V̄_t (nodes whose spread can
   * change when an edge is inserted).
   *
-  * Not thread-safe; each SieveADN instance owns one.
+  * Not thread-safe.
   */
-final class Digraph private (
-    val universe: Int,
-    private val fwd: Array[ArrayBuffer[Int]],
-    private val rev: Array[ArrayBuffer[Int]],
-    private val present: JBitSet,
-    private val edgeKeys: java.util.HashSet[Long],
-) {
+final class Digraph(val universe: Int) {
+  import Digraph.Adj
 
-  def this(universe: Int) =
-    this(
-      universe,
-      new Array[ArrayBuffer[Int]](universe),
-      new Array[ArrayBuffer[Int]](universe),
-      new JBitSet(universe),
-      new java.util.HashSet[Long](),
-    )
+  private val fwd     = new Array[Adj](universe)
+  private val rev     = new Array[Adj](universe)
+  private val present = new JBitSet(universe)
+  private var edges   = 0
 
   /** Number of distinct (u, v) edges. */
-  def edgeCount: Int = edgeKeys.size
+  def edgeCount: Int = edges
 
   /** Number of nodes that appear as an endpoint of at least one edge. */
   def nodeCount: Int = present.cardinality()
@@ -49,30 +47,65 @@ final class Digraph private (
       if (i < 0) None else Some((i, present.nextSetBit(i + 1)))
     }
 
-  private def key(u: Int, v: Int): Long = (u.toLong << 32) | (v.toLong & 0xffffffffL)
+  /** Throws IllegalArgumentException unless u and v are in the universe. */
+  def checkEdge(u: Int, v: Int): Unit =
+    require(u >= 0 && u < universe && v >= 0 && v < universe, s"edge ($u,$v) outside universe $universe")
 
-  /** Insert edge u→v; self-loops and duplicates are ignored.
+  /** Expiry of edge u→v, or `Int.MinValue` if there is no such edge. */
+  def expiryOf(u: Int, v: Int): Int = {
+    val a = fwd(u)
+    val i = if (a == null) -1 else a.indexOf(v)
+    if (i < 0) Int.MinValue else a.exp(i)
+  }
+
+  def hasEdge(u: Int, v: Int): Boolean = expiryOf(u, v) != Int.MinValue
+
+  /** Insert edge u→v expiring at `expiry`, or raise an existing edge's expiry
+    * to it; self-loops are ignored.
     *
     * @return true iff the edge was new (changed the reachability structure)
     */
-  def addEdge(u: Int, v: Int): Boolean = {
-    require(u >= 0 && u < universe && v >= 0 && v < universe, s"edge ($u,$v) outside universe $universe")
-    if (u == v || !edgeKeys.add(key(u, v))) return false
-    if (fwd(u) == null) fwd(u) = new ArrayBuffer[Int](4)
-    if (rev(v) == null) rev(v) = new ArrayBuffer[Int](4)
-    fwd(u) += v
-    rev(v) += u
-    present.set(u)
-    present.set(v)
-    true
+  def addEdge(u: Int, v: Int, expiry: Int = Int.MaxValue): Boolean = {
+    checkEdge(u, v)
+    if (u == v) return false
+    if (fwd(u) == null) fwd(u) = new Adj
+    if (rev(v) == null) rev(v) = new Adj
+    val i = fwd(u).indexOf(v)
+    if (i >= 0) {
+      if (expiry > fwd(u).exp(i)) {
+        fwd(u).exp(i) = expiry
+        rev(v).exp(rev(v).indexOf(u)) = expiry
+      }
+      false
+    } else {
+      fwd(u).add(v, expiry)
+      rev(v).add(u, expiry)
+      present.set(u)
+      present.set(v)
+      edges += 1
+      true
+    }
   }
 
-  def hasEdge(u: Int, v: Int): Boolean = edgeKeys.contains(key(u, v))
+  /** Remove edge u→v if its expiry is at most `now`; an edge whose expiry a
+    * later addition raised stays.
+    */
+  def expire(u: Int, v: Int, now: Int): Unit = {
+    val a = fwd(u)
+    val i = if (a == null) -1 else a.indexOf(v)
+    if (i >= 0 && a.exp(i) <= now) {
+      a.remove(i)
+      rev(v).remove(rev(v).indexOf(u))
+      edges -= 1
+      if (a.n == 0 && (rev(u) == null || rev(u).n == 0)) present.clear(u)
+      if (rev(v).n == 0 && (fwd(v) == null || fwd(v).n == 0)) present.clear(v)
+    }
+  }
 
-  def outNeighbors(u: Int): Seq[Int] = { val b = fwd(u); if (b == null) Nil else b.toSeq }
-  def inNeighbors(v: Int): Seq[Int]  = { val b = rev(v); if (b == null) Nil else b.toSeq }
+  def outNeighbors(u: Int): Seq[Int] = { val a = fwd(u); if (a == null) Nil else a.to.take(a.n).toSeq }
+  def inNeighbors(v: Int): Seq[Int]  = { val a = rev(v); if (a == null) Nil else a.to.take(a.n).toSeq }
 
-  private def bfs(adj: Array[ArrayBuffer[Int]], seeds: IterableOnce[Int]): JBitSet = {
+  private def bfs(adj: Array[Adj], seeds: IterableOnce[Int], from: Int): JBitSet = {
     val visited = new JBitSet(universe)
     var stack   = new Array[Int](64)
     var top     = 0
@@ -85,13 +118,12 @@ final class Digraph private (
     }
     while (top > 0) {
       top -= 1
-      val u  = stack(top)
-      val ns = adj(u)
-      if (ns != null) {
+      val a = adj(stack(top))
+      if (a != null) {
         var i = 0
-        while (i < ns.length) {
-          val w = ns(i)
-          if (!visited.get(w)) { visited.set(w); push(w) }
+        while (i < a.n) {
+          val w = a.to(i)
+          if (a.exp(i) >= from && !visited.get(w)) { visited.set(w); push(w) }
           i += 1
         }
       }
@@ -99,31 +131,48 @@ final class Digraph private (
     visited
   }
 
-  /** Set of nodes reachable from `seeds` (seeds included). */
-  def reach(seeds: IterableOnce[Int]): JBitSet = bfs(fwd, seeds)
+  /** Set of nodes reachable from `seeds` (seeds included) over the edges with
+    * expiry ≥ `from`.
+    */
+  def reach(seeds: IterableOnce[Int], from: Int = Int.MinValue): JBitSet = bfs(fwd, seeds, from)
 
-  /** Set of nodes that can reach `target` (target included). */
-  def reverseReach(target: Int): JBitSet = bfs(rev, Iterator.single(target))
+  /** Set of nodes that can reach `target` (target included) over the edges
+    * with expiry ≥ `from`.
+    */
+  def reverseReach(target: Int, from: Int = Int.MinValue): JBitSet = bfs(rev, Iterator.single(target), from)
 
   /** Influence spread of `seeds`: |reach(seeds)|. Callers that must count
     * oracle calls go through [[Influence.spread]] instead.
     */
   def spreadOf(seeds: IterableOnce[Int]): Int = reach(seeds).cardinality()
+}
 
-  /** Deep copy — used when HistApprox clones a SieveADN instance. */
-  def copy(): Digraph = {
-    val f = new Array[ArrayBuffer[Int]](universe)
-    val r = new Array[ArrayBuffer[Int]](universe)
-    var i = 0
-    while (i < universe) {
-      if (fwd(i) != null) f(i) = fwd(i).clone()
-      if (rev(i) != null) r(i) = rev(i).clone()
-      i += 1
+object Digraph {
+
+  /** One node's adjacency: neighbour ids and edge expiries, side by side. */
+  private final class Adj {
+    var to  = new Array[Int](4)
+    var exp = new Array[Int](4)
+    var n   = 0
+
+    def indexOf(w: Int): Int = {
+      var i = 0
+      while (i < n && to(i) != w) i += 1
+      if (i < n) i else -1
     }
-    new Digraph(
-      universe, f, r,
-      present.clone().asInstanceOf[JBitSet],
-      new java.util.HashSet[Long](edgeKeys),
-    )
+
+    def add(w: Int, e: Int): Unit = {
+      if (n == to.length) {
+        to = java.util.Arrays.copyOf(to, 2 * n)
+        exp = java.util.Arrays.copyOf(exp, 2 * n)
+      }
+      to(n) = w; exp(n) = e; n += 1
+    }
+
+    /** Remove entry i, moving the last entry into its place. */
+    def remove(i: Int): Unit = {
+      n -= 1
+      to(i) = to(n); exp(i) = exp(n)
+    }
   }
 }

@@ -8,10 +8,12 @@ import repro.tdn.{Tdn, TimedEdge}
   * of active instances. (1/3 − ε)-approximate (Theorem 7) with
   * O(ε⁻¹ log k) live instances instead of L (Theorem 8).
   *
-  * The tracker also maintains the TDN G_t itself (alive edges with remaining
-  * lifetimes): instance creation in the "has successor" case copies the
-  * successor instance and back-fills it with alive edges whose remaining
-  * lifetime falls in [l, l*) — that data lives only in G_t.
+  * The tracker owns the TDN G_t, and its one live graph is shared by every
+  * instance: an instance is a cutoff c over that graph (see [[SieveAdn]]), so
+  * instances are keyed by c = t + l and the indices l = c − t shift left by
+  * themselves as t advances. Instance creation in the "has successor" case
+  * copies the successor's Δ and sieves and back-fills the alive edges with
+  * expiry in [c, c*) — remaining lifetime in [l, l*).
   */
 final class HistApprox(
     val k: Int,
@@ -22,14 +24,15 @@ final class HistApprox(
 ) extends StreamingInfluenceAlgo {
   require(maxLifetime >= 1, "L must be >= 1")
 
-  // Active instances keyed by index: keys ascending = x_1 < x_2 < ...
+  private val tdn   = new Tdn
+  private val graph = tdn.toDigraph(universe)
+  // Active instances keyed by cutoff: keys ascending = x_1 < x_2 < ...
   private val hist = mutable.TreeMap.empty[Int, SieveAdn]
-  private val tdn  = new Tdn
 
   override def name: String = "HistApprox"
 
   /** Active index set x_t, ascending. */
-  def indices: Seq[Int] = hist.keys.toSeq
+  def indices: Seq[Int] = hist.keys.toSeq.map(_ - tdn.now)
 
   /** Number of live SieveADN instances |x_t|. */
   def activeInstances: Int = hist.size
@@ -38,38 +41,37 @@ final class HistApprox(
   def currentTdn: Tdn = tdn
 
   /** g_t(l) for an active index l. */
-  def valueAt(l: Int): Int = hist(l).currentValue
+  def valueAt(l: Int): Int = hist(tdn.now + l).currentValue
 
   override def observe(batch: Seq[TimedEdge]): Unit = {
-    if (batch.isEmpty) return
+    tdn.check(batch) // reject a bad batch before its first group changes state
     val capped = batch.map(e => if (e.lifetime > maxLifetime) e.copy(lifetime = maxLifetime) else e)
     // Alg. 3 line 3: process lifetime groups in increasing l.
     capped.groupBy(_.lifetime).toSeq.sortBy(_._1).foreach { case (l, group) =>
-      tdn.add(group)
-      processEdges(l, group)
+      processEdges(tdn.now + l, SieveAdn.addTo(tdn, graph, group))
       reduceRedundancy()
     }
   }
 
-  /** Alg. 3 ProcessEdges(Ē_l). */
-  private def processEdges(l: Int, group: Seq[TimedEdge]): Unit = {
-    if (!hist.contains(l)) {
-      hist.rangeFrom(l + 1).headOption match {
-        case None =>
-          // Fig. 6(b): no successor — no alive edge can have lifetime ≥ l
-          // (tested invariant), so a fresh instance starts empty.
-          hist(l) = new SieveAdn(k, eps, universe, counter)
-        case Some((lStar, succ)) =>
-          // Fig. 6(c): copy the successor, then back-fill the alive edges it
-          // has not seen: remaining lifetime in [l, l*).
-          val inst = succ.copyInstance()
-          inst.process(tdn.aliveInRange(l, lStar).map(e => (e.u, e.v)))
-          hist(l) = inst
-      }
-    }
+  /** Alg. 3 ProcessEdges(Ē_l) for a group with expiry c, already in G_t. */
+  private def processEdges(c: Int, arrivals: Seq[SieveAdn.Arrival]): Unit = {
     // Alg. 3 line 17: feed every active instance with index ≤ l.
-    val edges = group.map(e => (e.u, e.v))
-    hist.rangeTo(l).valuesIterator.foreach(_.process(edges))
+    hist.rangeTo(c).valuesIterator.foreach(_.feed(arrivals))
+    if (!hist.contains(c)) {
+      // Fig. 6(c): copy the successor at c*; Fig. 6(b): with none, start
+      // empty with c* = ∞ (no alive edge has expiry ≥ c, a tested
+      // invariant). Either way, back-fill the alive edges the instance has
+      // not seen, the group included: graph expiry in [c, c*).
+      val succ = hist.rangeFrom(c).valuesIterator.nextOption()
+      val inst = succ.fold(new SieveAdn(k, eps, counter, graph, c))(_.copyInstance(c))
+      val hi   = succ.fold(Int.MaxValue)(_.cutoff)
+      inst.update(
+        tdn.aliveInRange(c - tdn.now, hi - tdn.now).iterator
+          .collect { case e if e.u != e.v && graph.expiryOf(e.u, e.v) < hi => (e.u, e.v) }
+          .distinct.toSeq,
+      )
+      hist(c) = inst
+    }
   }
 
   /** Alg. 3 ReduceRedundancy: kill instances strictly between i and the
@@ -101,11 +103,9 @@ final class HistApprox(
   def currentValue: Int = hist.headOption.map(_._2.currentValue).getOrElse(0)
 
   override def endStep(): Unit = {
-    // Alg. 3 lines 5–7: terminate A_1 if x_1 = 1, then shift every index left.
-    if (hist.nonEmpty && hist.firstKey == 1) hist.remove(1)
-    val shifted = hist.toSeq.map { case (l, a) => (l - 1, a) }
-    hist.clear()
-    shifted.foreach { case (l, a) => hist(l) = a }
+    // Alg. 3 lines 5–7: terminate A_1 if x_1 = 1; the other indices shift
+    // left as the clock advances under their fixed cutoffs.
+    hist.remove(tdn.now + 1)
     tdn.advance()
   }
 

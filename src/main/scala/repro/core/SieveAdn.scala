@@ -3,16 +3,22 @@ package repro.core
 import java.util.{BitSet => JBitSet}
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
+import repro.tdn.{Tdn, TimedEdge}
 
 /** SieveADN (Alg. 1): streaming influence maximization over an addition-only
   * dynamic interaction network, with a (1/2 − ε) approximation guarantee.
   *
-  * The instance owns its own accumulated graph (an ADN: edges only arrive,
-  * never expire within the instance's lifetime — BasicReduction/HistApprox
-  * terminate whole instances instead of deleting edges).
+  * An instance is a graph, a cutoff, Δ and its sieves. It views the edges of
+  * `graph` whose expiry is ≥ `cutoff`. A stand-alone instance owns its graph
+  * and has cutoff −∞: the ADN view, where edges only arrive. Inside
+  * BasicReduction and HistApprox every instance shares the tracker's TDN graph
+  * (see [[repro.tdn.Tdn]]): at time t the instance with index l has processed
+  * exactly the alive edges with remaining lifetime ≥ l, which is the fixed
+  * cutoff t + l, since index and remaining lifetimes drop together. Those
+  * trackers terminate whole instances instead of deleting edges.
   *
-  * Mechanics per arriving batch Ē_t:
-  *  1. insert the edges into the instance graph;
+  * Mechanics per batch Ē_t of edges new to the instance's view:
+  *  1. the edges are in the graph (the stand-alone [[process]] inserts them);
   *  2. compute the candidate set V̄_t = nodes whose influence spread changed:
   *     for each inserted edge (u,v), {v} ∪ reverseReach(u);
   *  3. evaluate f({v}) for each candidate (one oracle call each), updating
@@ -28,22 +34,22 @@ import scala.collection.mutable.ArrayBuffer
   * The oracle-call ledger therefore counts exactly the f evaluations the
   * paper's complexity analysis counts: O(b · ε⁻¹ log k) per batch (Theorem 3).
   */
-final class SieveAdn private (
+final class SieveAdn private[core] (
     val k: Int,
     val eps: Double,
-    val universe: Int,
     val counter: OracleCounter,
-    private val graph0: Digraph,
+    val graph: Digraph,
+    val cutoff: Int,
 ) {
   require(k >= 1, "k must be >= 1")
   require(eps > 0 && eps < 1, "eps must be in (0,1)")
 
   def this(k: Int, eps: Double, universe: Int, counter: OracleCounter) =
-    this(k, eps, universe, counter, new Digraph(universe))
+    this(k, eps, counter, new Digraph(universe), Int.MinValue)
 
   import SieveAdn.Sieve
 
-  val graph: Digraph        = graph0
+  val universe: Int        = graph.universe
   private var deltaMax: Int = 0 // Δ: max singleton spread seen
   private val sieves        = mutable.TreeMap.empty[Int, Sieve] // exponent i -> S_θi
   private val logBase       = math.log1p(eps)
@@ -73,7 +79,7 @@ final class SieveAdn private (
     val acc = new JBitSet(universe)
     inserted.foreach { case (u, v) =>
       acc.set(v)
-      acc.or(graph.reverseReach(u))
+      acc.or(graph.reverseReach(u, cutoff))
     }
     val out = new ArrayBuffer[Int](acc.cardinality())
     var i   = acc.nextSetBit(0)
@@ -81,9 +87,26 @@ final class SieveAdn private (
     out.toSeq
   }
 
-  /** Process one batch of arriving edges (the ADN view: additions only). */
+  /** Process one batch of arriving edges into a stand-alone instance's own
+    * graph (the ADN view: additions only). A batch with an edge outside the
+    * universe changes nothing.
+    */
   def process(batch: Seq[(Int, Int)]): Unit = {
-    val inserted = batch.filter { case (u, v) => graph.addEdge(u, v) }
+    require(cutoff == Int.MinValue, "only a stand-alone instance adds edges to its graph")
+    batch.foreach { case (u, v) => graph.checkEdge(u, v) }
+    update(batch.filter { case (u, v) => graph.addEdge(u, v) })
+  }
+
+  /** Feed the edges of a batch just added to the shared graph that this
+    * instance has not seen and now sees.
+    */
+  private[core] def feed(arrivals: Seq[SieveAdn.Arrival]): Unit =
+    update(arrivals.collect { case a if a.before < cutoff && cutoff <= a.after => (a.u, a.v) })
+
+  /** Steps 2–5 for `inserted`: distinct edges, without self-loops, that are
+    * in the graph with expiry ≥ `cutoff` and were not visible before.
+    */
+  private[core] def update(inserted: Seq[(Int, Int)]): Unit = {
     if (inserted.isEmpty) return
 
     val cand = candidates(inserted)
@@ -93,7 +116,7 @@ final class SieveAdn private (
     val candReach = mutable.LinkedHashMap.empty[Int, JBitSet]
     cand.foreach { v =>
       counter.inc()
-      val r = graph.reach(Iterator.single(v))
+      val r = graph.reach(Iterator.single(v), cutoff)
       candReach(v) = r
       val f1 = r.cardinality()
       if (f1 > deltaMax) deltaMax = f1
@@ -136,10 +159,6 @@ final class SieveAdn private (
     }
   }
 
-  /** Convenience: process timed edges, ignoring lifetimes (ADN view). */
-  def processTimed(batch: Seq[repro.tdn.TimedEdge]): Unit =
-    process(batch.map(e => (e.u, e.v)))
-
   /** g = f(S_{θ*}): value of the best sieve set (Alg. 1 line 12). Cached
     * values are maintained exactly, so this is free of oracle calls.
     */
@@ -163,9 +182,14 @@ final class SieveAdn private (
   /** Current Δ (max singleton spread observed). */
   def delta: Int = deltaMax
 
-  /** Deep copy sharing the oracle counter — HistApprox instance creation. */
-  def copyInstance(): SieveAdn = {
-    val c = new SieveAdn(k, eps, universe, counter, graph.copy())
+  /** A new instance over the same graph and oracle counter at a lower
+    * `cutoff`, starting from this one's Δ and sieves — HistApprox instance
+    * creation. It has yet to be fed the edges with expiry in
+    * [cutoff, this.cutoff).
+    */
+  private[core] def copyInstance(cutoff: Int): SieveAdn = {
+    require(cutoff < this.cutoff, s"copy cutoff $cutoff must be below ${this.cutoff}")
+    val c = new SieveAdn(k, eps, counter, graph, cutoff)
     c.deltaMax = deltaMax
     sieves.foreach { case (i, s) => c.sieves(i) = s.copySieve() }
     c
@@ -173,6 +197,21 @@ final class SieveAdn private (
 }
 
 object SieveAdn {
+
+  /** A distinct non-loop edge of a batch just added to a shared graph, with
+    * its graph expiry before and after the addition: an instance with cutoff
+    * f had not seen it and now does iff before < f ≤ after.
+    */
+  private[core] final case class Arrival(u: Int, v: Int, before: Int, after: Int)
+
+  /** Add `batch` to `tdn`, whose live graph is `graph`, and return its arrivals. */
+  private[core] def addTo(tdn: Tdn, graph: Digraph, batch: Seq[TimedEdge]): Seq[Arrival] = {
+    tdn.check(batch)
+    val pairs  = batch.iterator.filter(e => e.u != e.v).map(e => (e.u, e.v)).distinct.toVector
+    val before = pairs.map { case (u, v) => graph.expiryOf(u, v) }
+    tdn.add(batch)
+    pairs.lazyZip(before).map { case ((u, v), b) => Arrival(u, v, b, graph.expiryOf(u, v)) }
+  }
 
   /** One threshold's sieve set S_θ with exactly-maintained f(S_θ), reach(S_θ). */
   private final class Sieve {

@@ -15,7 +15,12 @@ final case class TimedEdge(u: Int, v: Int, lifetime: Int) {
   * Stores the alive multiset of edges. Rather than decrementing every lifetime
   * each step, each edge stores its expiry time: an edge arriving at time τ with
   * lifetime l is alive for t ∈ [τ, τ+l) and its remaining lifetime at time t is
-  * `expiry − t`. [[advance]] moves the clock and compacts expired edges.
+  * `expiry − t`. [[advance]] moves the clock and drops expired edges.
+  *
+  * From the first [[toDigraph]] call on, the TDN also owns the single live
+  * reachability graph of G_t: one edge per alive (u, v), carrying the largest
+  * expiry among its interactions. [[add]] raises expiries and [[advance]]
+  * removes the edges no alive interaction holds any more.
   *
   * `now` starts at 0; callers add the batch for step t while `now == t`, then
   * call [[advance]] once per step.
@@ -23,71 +28,76 @@ final case class TimedEdge(u: Int, v: Int, lifetime: Int) {
 final class Tdn {
   private final case class Alive(u: Int, v: Int, expiry: Int)
 
-  private val edges          = new ArrayBuffer[Alive]()
+  private val edges          = new ArrayBuffer[Alive]() // in arrival order
   private var clock          = 0
-  private var expiredPending = 0
+  private var graph: Digraph = null
 
   /** Current time t. */
   def now: Int = clock
 
-  /** Add a batch of edges arriving at the current time. */
-  def add(batch: Iterable[TimedEdge]): Unit =
-    batch.foreach(e => edges += Alive(e.u, e.v, clock + e.lifetime))
+  /** Throws IllegalArgumentException unless every node id in `batch` is ≥ 0
+    * and, once the graph exists, below its universe.
+    */
+  def check(batch: Iterable[TimedEdge]): Unit = {
+    val n = if (graph == null) Int.MaxValue else graph.universe
+    batch.foreach { e =>
+      require(e.u >= 0 && e.v >= 0 && e.u < n && e.v < n, s"edge (${e.u},${e.v}) outside universe $n")
+    }
+  }
+
+  /** Add a batch of edges arriving at the current time; a batch that fails
+    * [[check]] changes nothing.
+    */
+  def add(batch: Iterable[TimedEdge]): Unit = {
+    check(batch)
+    batch.foreach { e =>
+      val a = Alive(e.u, e.v, clock + e.lifetime)
+      edges += a
+      if (graph != null) graph.addEdge(a.u, a.v, a.expiry)
+    }
+  }
 
   /** Advance the clock one step; edges whose lifetime reached 0 are dropped. */
   def advance(): Unit = {
     clock += 1
-    expiredPending += 1
-    // Compact lazily but often enough that iteration stays O(alive).
-    if (expiredPending >= 8 || edges.count(_.expiry <= clock) * 4 > edges.size) {
-      val kept = edges.filter(_.expiry > clock)
-      edges.clear()
-      edges ++= kept
-      expiredPending = 0
-    }
+    if (graph != null) edges.foreach(a => if (a.expiry <= clock) graph.expire(a.u, a.v, clock))
+    edges.filterInPlace(_.expiry > clock)
   }
 
   /** Alive edges at the current time, with remaining lifetime (≥ 1). */
-  def aliveEdges: Seq[TimedEdge] =
-    edges.iterator
-      .filter(_.expiry > clock)
-      .map(a => TimedEdge(a.u, a.v, a.expiry - clock))
-      .toSeq
+  def aliveEdges: Seq[TimedEdge] = edges.map(a => TimedEdge(a.u, a.v, a.expiry - clock)).toSeq
 
-  /** Alive edges whose remaining lifetime l_e satisfies lo ≤ l_e < hi —
-    * the back-fill set HistApprox feeds to a freshly copied instance.
-    */
+  /** Alive edges whose remaining lifetime l_e satisfies lo ≤ l_e < hi. */
   def aliveInRange(lo: Int, hi: Int): Seq[TimedEdge] =
     aliveEdges.filter(e => e.lifetime >= lo && e.lifetime < hi)
 
   /** Number of alive edges (with multiplicity). */
-  def aliveCount: Int = edges.count(_.expiry > clock)
+  def aliveCount: Int = edges.size
 
   /** Largest remaining lifetime among alive edges, 0 if empty. */
-  def maxRemainingLifetime: Int =
-    edges.iterator.filter(_.expiry > clock).map(_.expiry - clock).maxOption.getOrElse(0)
+  def maxRemainingLifetime: Int = edges.map(_.expiry - clock).maxOption.getOrElse(0)
 
   /** Multiplicity of alive interactions per (u, v) — the `x` that feeds the
     * IC-model diffusion probability p_uv = 2/(1+e^{−0.2x}) − 1 (§V-C).
     */
   def interactionCounts: Map[(Int, Int), Int] =
-    edges.iterator
-      .filter(_.expiry > clock)
-      .map(a => (a.u, a.v))
-      .toSeq
-      .groupBy(identity)
-      .view
-      .mapValues(_.size)
-      .toMap
+    edges.groupBy(a => (a.u, a.v)).view.mapValues(_.size).toMap
 
-  /** Snapshot G_t as a reachability graph over `universe` node ids. */
+  /** G_t as a reachability graph over `universe` node ids. The graph is built
+    * on the first call and kept current by [[add]] and [[advance]] after
+    * that: every call returns the same live view, not a snapshot, and a call
+    * with another universe is rejected.
+    */
   def toDigraph(universe: Int): Digraph = {
-    val g = new Digraph(universe)
-    edges.iterator.filter(_.expiry > clock).foreach(a => g.addEdge(a.u, a.v))
-    g
+    if (graph == null) {
+      val g = new Digraph(universe)
+      edges.foreach(a => g.addEdge(a.u, a.v, a.expiry))
+      graph = g
+    }
+    require(graph.universe == universe, s"the graph exists over universe ${graph.universe}, not $universe")
+    graph
   }
 
   /** Distinct nodes present in G_t. */
-  def aliveNodes: Set[Int] =
-    edges.iterator.filter(_.expiry > clock).flatMap(a => Iterator(a.u, a.v)).toSet
+  def aliveNodes: Set[Int] = edges.iterator.flatMap(a => Iterator(a.u, a.v)).toSet
 }

@@ -2,117 +2,24 @@ package repro
 
 import org.apache.spark.sql.functions._
 import repro.stream.InteractionStreams
+import repro.tdn.Lifetimes
 
-/** The provided TPC-H-lite generators plus the TDN-paper extensions. */
+/** The synthetic TDN input end to end: a dataset's interaction stream, and
+  * the same stream with geometric lifetimes attached.
+  */
 class SynthDataSpec extends SparkSpec {
 
-  test("lineitem generates the expected row count at SF") {
-    assert(SynthData.lineitem(spark, sf = 0.001).count() == 6000L)
-  }
-
-  test("lineitem columns are within TPC-H domains") {
-    val r = SynthData
-      .lineitem(spark, sf = 0.001)
-      .agg(
-        min("l_quantity"), max("l_quantity"),
-        min("l_discount"), max("l_discount"),
-        countDistinct("l_returnflag"),
-      )
-      .collect()(0)
-    assert(r.getDouble(0) >= 1.0 && r.getDouble(1) <= 51.0)
-    assert(r.getDouble(2) >= 0.0 && r.getDouble(3) <= 0.10)
-    assert(r.getLong(4) == 3)
-  }
-
-  test("orders keys are dense 1..N and join lineitem") {
-    val o = SynthData.orders(spark, sf = 0.001)
-    val n = o.count()
-    assert(n == 1500L)
-    assert(o.agg(min("o_orderkey"), max("o_orderkey")).collect()(0) match {
-      case row => row.getLong(0) == 1L && row.getLong(1) == n
-    })
-    val li     = SynthData.lineitem(spark, sf = 0.001)
-    val joined = li.join(o, li("l_orderkey") === o("o_orderkey")).count()
-    assert(joined == li.count(), "every lineitem row has an order")
-  }
-
-  test("customer and part generate dense key ranges") {
-    assert(SynthData.customer(spark, sf = 0.001).count() == 150L)
-    assert(SynthData.part(spark, sf = 0.001).count() == 200L)
-  }
-
-  test("aggregation over lineitem matches DuckDB") {
-    val li = SynthData.lineitem(spark, sf = 0.001)
-    val sparkAgg = li
-      .groupBy(col("l_returnflag"))
-      .agg(count(lit(1)).as("n"))
-    Oracle.assertEquivalent(
-      sparkAgg,
-      "SELECT l_returnflag, count(*) AS n FROM lineitem GROUP BY l_returnflag",
-      "lineitem" -> li.select("l_returnflag"),
-    )
-  }
-
-  test("zipfKeys is deterministic and within range") {
-    val a = SynthData.zipfKeys(spark, 2000, 100, seed = 3).collect().map(_.getLong(0))
-    val b = SynthData.zipfKeys(spark, 2000, 100, seed = 3).collect().map(_.getLong(0))
-    assert(a.sameElements(b))
-    assert(a.forall(k => k >= 1 && k <= 100))
-  }
-
-  test("uniformKeys covers the key range roughly evenly") {
-    val ks = SynthData.uniformKeys(spark, 5000, 10, seed = 4)
-      .groupBy("k").count().collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    assert(ks.keySet.subsetOf((1L to 10L).toSet))
-    assert(ks.values.min > 250 && ks.values.max < 900)
-  }
-
   test("interactionStream extension delegates to the dataset generators") {
-    val df = SynthData.interactionStream(spark, InteractionStreams.twitterHK)
+    val df = InteractionStreams.generate(spark, InteractionStreams.twitterHK)
     assert(df.columns.toSeq == Seq("ts", "src", "dst"))
     assert(df.count() == InteractionStreams.twitterHK.interactions)
   }
 
   test("tdnStream extension attaches bounded lifetimes") {
-    val df = SynthData.tdnStream(spark, InteractionStreams.twitterHiggs, p = 0.05, maxL = 30)
+    val stream = InteractionStreams.generate(spark, InteractionStreams.twitterHiggs)
+    val df     = Lifetimes.withGeometricLifetimes(stream, p = 0.05, maxL = 30, seed = 7777)
     assert(df.columns.toSeq == Seq("ts", "src", "dst", "lifetime"))
     val mm = df.agg(min("lifetime"), max("lifetime")).collect()(0)
     assert(mm.getInt(0) >= 1 && mm.getInt(1) <= 30)
-  }
-}
-
-/** The DuckDB oracle itself must fail loudly on wrong results. */
-class OracleSpec extends SparkSpec {
-  import spark.implicits._
-
-  test("assertEquivalent accepts a correct aggregation") {
-    val df = Seq((1, "a"), (2, "a"), (3, "b")).toDF("x", "g")
-    Oracle.assertEquivalent(
-      df.groupBy($"g").agg(count(lit(1)).as("n")),
-      "SELECT g, count(*) AS n FROM t GROUP BY g",
-      "t" -> df,
-    )
-  }
-
-  test("assertEquivalent rejects a wrong result") {
-    val df = Seq((1, "a"), (2, "a"), (3, "b")).toDF("x", "g")
-    intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(
-        df.groupBy($"g").agg((count(lit(1)) + 1).as("n")), // off by one
-        "SELECT g, count(*) AS n FROM t GROUP BY g",
-        "t" -> df,
-      )
-    }
-  }
-
-  test("assertEquivalent rejects mismatched column sets") {
-    val df = Seq((1, "a")).toDF("x", "g")
-    intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(
-        df.select($"x"),
-        "SELECT g FROM t",
-        "t" -> df,
-      )
-    }
   }
 }

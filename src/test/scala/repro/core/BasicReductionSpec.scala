@@ -17,6 +17,12 @@ class BasicReductionSpec extends AnyFunSuite {
       out
     }
 
+  /** The edges instance `a` has processed: those of the shared graph with
+    * expiry at or above its cutoff.
+    */
+  private def visible(a: SieveAdn): Set[(Int, Int)] =
+    (for { u <- 0 until a.universe; v <- 0 until a.universe if a.graph.expiryOf(u, v) >= a.cutoff } yield (u, v)).toSet
+
   test("constructor validates L") {
     intercept[IllegalArgumentException](new BasicReduction(2, 0.1, 0, 10))
   }
@@ -28,14 +34,8 @@ class BasicReductionSpec extends AnyFunSuite {
     stream.foreach { batch =>
       truth.add(batch)
       algo.observe(batch)
-      val head  = algo.instance(1).graph
-      val alive = truth.aliveEdges.map(e => (e.u, e.v)).toSet
-      assert(
-        alive == (for {
-          u <- 0 until 15; v <- 0 until 15 if head.hasEdge(u, v)
-        } yield (u, v)).toSet,
-        s"t=${truth.now}",
-      )
+      val alive = truth.aliveEdges.collect { case e if e.u != e.v => (e.u, e.v) }.toSet
+      assert(alive == visible(algo.instance(1)), s"t=${truth.now}")
       algo.endStep()
       truth.advance()
     }
@@ -44,12 +44,10 @@ class BasicReductionSpec extends AnyFunSuite {
   test("invariant: A_i only sees edges with lifetime >= i") {
     val algo = new BasicReduction(2, 0.1, maxLifetime = 4, universe = 10)
     algo.observe(Seq(TimedEdge(0, 1, 1), TimedEdge(2, 3, 3), TimedEdge(4, 5, 4)))
-    assert(algo.instance(1).graph.edgeCount == 3)
-    assert(algo.instance(2).graph.edgeCount == 2)
-    assert(algo.instance(3).graph.edgeCount == 2)
-    assert(algo.instance(4).graph.edgeCount == 1)
-    assert(algo.instance(4).graph.hasEdge(4, 5))
-    assert(!algo.instance(2).graph.hasEdge(0, 1))
+    assert((1 to 4).map(i => visible(algo.instance(i)).size) == Seq(3, 2, 2, 1))
+    assert(visible(algo.instance(4)) == Set((4, 5)))
+    assert(!visible(algo.instance(2)).contains((0, 1)))
+    assert(algo.instance(4).currentValue == 2 && algo.instance(2).currentValue == 4)
   }
 
   test("shifting: instance A_{i} at t becomes A_{i-1} at t+1, new tail is empty") {
@@ -58,13 +56,14 @@ class BasicReductionSpec extends AnyFunSuite {
     val a3 = algo.instance(3)
     algo.endStep()
     assert(algo.instance(2) eq a3)
-    assert(algo.instance(3).graph.edgeCount == 0)
+    assert(visible(algo.instance(3)).isEmpty)
+    assert(visible(algo.instance(2)) == Set((0, 1)))
   }
 
   test("lifetimes above L are effectively capped at L") {
     val algo = new BasicReduction(2, 0.1, maxLifetime = 3, universe = 10)
     algo.observe(Seq(TimedEdge(0, 1, 9)))
-    assert(algo.instance(3).graph.hasEdge(0, 1))
+    assert(visible(algo.instance(3)) == Set((0, 1)))
   }
 
   test("solution on a sliding-window stream matches a fresh SieveADN over the window") {
@@ -115,6 +114,17 @@ class BasicReductionSpec extends AnyFunSuite {
     assert(algo.oracleCalls == 0)
     algo.endStep()
     assert(algo.querySolution.isEmpty)
+  }
+
+  test("a rejected batch leaves the tracker unchanged") {
+    val algo = new BasicReduction(2, 0.2, maxLifetime = 10, universe = 10)
+    algo.observe(Seq(TimedEdge(0, 1, 4)))
+    val calls = algo.oracleCalls
+    intercept[IllegalArgumentException](algo.observe(Seq(TimedEdge(2, 3, 3), TimedEdge(4, 99, 8))))
+    intercept[IllegalArgumentException](algo.observe(Seq(TimedEdge(2, 3, 3), TimedEdge(-1, 3, 8))))
+    assert(algo.oracleCalls == calls)
+    assert(algo.querySolution == Seq(0))
+    assert((1 to 10).map(i => visible(algo.instance(i)).size) == Seq(1, 1, 1, 1, 0, 0, 0, 0, 0, 0))
   }
 
   test("expired edges stop contributing to the solution") {

@@ -107,22 +107,47 @@ class DigraphSpec extends AnyFunSuite {
     }
   }
 
-  test("copy is deep: mutating the copy leaves the original untouched") {
-    val g = TestData.digraphOf(10, Seq((0, 1), (1, 2)))
-    val c = g.copy()
-    c.addEdge(2, 3)
-    assert(c.hasEdge(2, 3))
-    assert(!g.hasEdge(2, 3))
-    assert(g.edgeCount == 2 && c.edgeCount == 3)
-    assert(g.spreadOf(Seq(0)) == 3 && c.spreadOf(Seq(0)) == 4)
+  test("BFS skips edges whose expiry is below the cutoff") {
+    val g = new Digraph(6)
+    g.addEdge(0, 1, expiry = 5)
+    g.addEdge(1, 2, expiry = 3)
+    g.addEdge(2, 3, expiry = 8)
+    assert(g.spreadOf(Seq(0)) == 4)
+    assert(g.reach(Seq(0), from = 3).cardinality() == 4)
+    assert(g.reach(Seq(0), from = 4).cardinality() == 2)
+    assert(g.reach(Seq(2), from = 6).cardinality() == 2)
+    assert(g.reach(Seq(0), from = 6).cardinality() == 1)
+    val r = g.reverseReach(3, from = 4)
+    assert((0 until 6).filter(r.get) == Seq(2, 3))
   }
 
-  test("copy preserves adjacency, nodes and edge count") {
-    val edges = TestData.randomEdges(25, 80, 7L)
-    val g     = TestData.digraphOf(25, edges)
-    val c     = g.copy()
-    assert(c.edgeCount == g.edgeCount)
-    assert(c.nodes.toSeq == g.nodes.toSeq)
-    for (v <- 0 until 25) assert(c.outNeighbors(v).sorted == g.outNeighbors(v).sorted)
+  test("adding an edge again raises its expiry to the larger value") {
+    val g = new Digraph(4)
+    assert(g.addEdge(0, 1, expiry = 5))
+    assert(!g.addEdge(0, 1, expiry = 9))
+    assert(g.expiryOf(0, 1) == 9)
+    assert(!g.addEdge(0, 1, expiry = 2))
+    assert(g.expiryOf(0, 1) == 9)
+    assert(g.edgeCount == 1)
+    assert(g.reverseReach(1, from = 9).get(0))
+    assert(g.expiryOf(1, 0) == Int.MinValue)
+  }
+
+  test("an expiry drop keeps an edge a later copy still holds and updates nodes and counts") {
+    val g = new Digraph(6)
+    g.addEdge(0, 1, expiry = 2)
+    g.addEdge(0, 1, expiry = 4) // a later copy of (0, 1)
+    g.addEdge(1, 2, expiry = 2)
+    g.addEdge(3, 4, expiry = 3)
+    g.expire(0, 1, now = 2)
+    g.expire(1, 2, now = 2)
+    assert(g.hasEdge(0, 1) && !g.hasEdge(1, 2))
+    assert(g.edgeCount == 2)
+    assert(g.nodes.toSeq == Seq(0, 1, 3, 4) && g.nodeCount == 4)
+    assert(g.inNeighbors(2).isEmpty && g.outNeighbors(1).isEmpty)
+    g.expire(3, 4, now = 3)
+    g.expire(0, 1, now = 4)
+    assert(g.edgeCount == 0 && g.nodeCount == 0 && g.nodes.isEmpty)
+    assert(g.spreadOf(Seq(0)) == 1)
   }
 }

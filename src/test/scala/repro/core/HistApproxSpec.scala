@@ -57,6 +57,18 @@ class HistApproxSpec extends AnyFunSuite {
     assert(h.currentValue == 4)
   }
 
+  test("a rejected batch leaves the tracker unchanged") {
+    val h = new HistApprox(2, 0.2, 10, 10)
+    h.observe(Seq(TimedEdge(0, 1, 4), TimedEdge(1, 2, 9)))
+    val (indices, sol, calls) = (h.indices, h.querySolution, h.oracleCalls)
+    intercept[IllegalArgumentException](h.observe(Seq(TimedEdge(2, 3, 3), TimedEdge(4, 99, 8))))
+    intercept[IllegalArgumentException](h.observe(Seq(TimedEdge(2, 3, 3), TimedEdge(-1, 3, 8))))
+    assert(h.currentTdn.aliveCount == 2)
+    assert(h.indices == indices)
+    assert(h.querySolution == sol)
+    assert(h.oracleCalls == calls)
+  }
+
   test("the head instance sees all edges that are still alive and relevant") {
     val h = new HistApprox(1, 0.1, 10, universe = 10)
     h.observe(Seq(TimedEdge(0, 1, 4), TimedEdge(0, 2, 4), TimedEdge(0, 3, 4)))

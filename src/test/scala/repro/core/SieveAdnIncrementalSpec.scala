@@ -12,11 +12,12 @@ class SieveAdnIncrementalSpec extends AnyFunSuite {
 
   private def checkCacheExact(s: SieveAdn): Unit = {
     // currentValue and solution must be mutually consistent and equal to a
-    // fresh BFS evaluation of the reported solution.
+    // fresh BFS evaluation of the reported solution at the instance's cutoff.
     val sol = s.solution
     val v   = s.currentValue
+    val f   = s.graph.reach(sol, s.cutoff).cardinality()
     if (sol.isEmpty) assert(v == 0)
-    else assert(s.graph.spreadOf(sol) == v, s"cached $v vs recomputed ${s.graph.spreadOf(sol)}")
+    else assert(f == v, s"cached $v vs recomputed $f")
   }
 
   test("cached best value equals recomputed spread after every batch (random streams)") {
@@ -60,12 +61,18 @@ class SieveAdnIncrementalSpec extends AnyFunSuite {
 
   test("copyInstance carries exact caches forward") {
     for (seed <- 0 until 5) {
-      val s = new SieveAdn(2, 0.2, 15, new OracleCounter)
-      s.process(TestData.randomEdges(15, 30, 600L + seed))
-      val c = s.copyInstance()
-      c.process(TestData.randomEdges(15, 10, 700L + seed))
+      // Nodes 12..14 stay outside the original's view.
+      val s = new SieveAdn(2, 0.2, new OracleCounter, new Digraph(15), cutoff = 10)
+      SieveAdnSpec.addAndUpdate(s, TestData.randomEdges(12, 30, 600L + seed), expiry = 10)
+      val (value, sol) = (s.currentValue, s.solution)
+      // The copy at cutoff 5 is fed edges with expiry 7, visible to it only;
+      // one of them extends the reach of the original's best set.
+      val c = s.copyInstance(5)
+      SieveAdnSpec.addAndUpdate(c, TestData.randomEdges(15, 10, 700L + seed) :+ ((sol.head, 14)), expiry = 7)
       checkCacheExact(c)
+      assert(c.currentValue > value)
       checkCacheExact(s)
+      assert(s.currentValue == value && s.solution == sol)
     }
   }
 

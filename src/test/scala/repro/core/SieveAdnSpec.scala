@@ -119,23 +119,40 @@ class SieveAdnSpec extends AnyFunSuite {
   }
 
   test("copyInstance is independent of the original") {
-    val s = newSieve(k = 2, universe = 10)
-    s.process(Seq((0, 1), (2, 3)))
-    val c = s.copyInstance()
-    c.process(Seq((0, 4), (0, 5)))
-    assert(c.currentValue >= s.currentValue)
+    val g = new Digraph(10)
+    val s = new SieveAdn(2, 0.1, new OracleCounter, g, cutoff = 10)
+    SieveAdnSpec.addAndUpdate(s, Seq((0, 1), (2, 3)), expiry = 10)
+    val c = s.copyInstance(5)
+    // Expiry 7 is visible at cutoff 5 only.
+    SieveAdnSpec.addAndUpdate(c, Seq((0, 4), (0, 5)), expiry = 7)
+    assert(c.currentValue == 6)
     // 0 reaches {0,1}; 2 reaches {2,3}; best pair {0,2} has value 4.
     assert(s.currentValue == 4)
-    assert(s.graph.spreadOf(Seq(0, 2)) == 4)
-    assert(!s.graph.hasEdge(0, 4))
+    assert(g.reach(Seq(0, 2), s.cutoff).cardinality() == 4)
+    assert(g.hasEdge(0, 4) && !g.reach(Seq(0), s.cutoff).get(4))
   }
 
   test("copyInstance preserves value and solution") {
-    val s = newSieve(k = 3, universe = 20)
-    s.process(TestData.randomEdges(20, 60, 23L))
-    val c = s.copyInstance()
+    val s = new SieveAdn(3, 0.1, new OracleCounter, new Digraph(20), cutoff = 10)
+    SieveAdnSpec.addAndUpdate(s, TestData.randomEdges(20, 60, 23L), expiry = 10)
+    val c = s.copyInstance(5)
     assert(c.currentValue == s.currentValue)
     assert(c.solution == s.solution)
+    assert(c.graph eq s.graph)
+  }
+
+  test("an instance cannot be copied at or above its cutoff, nor a shared one fed by process") {
+    val s = new SieveAdn(2, 0.1, new OracleCounter, new Digraph(10), cutoff = 10)
+    intercept[IllegalArgumentException](s.copyInstance(10))
+    intercept[IllegalArgumentException](newSieve().copyInstance(0))
+    intercept[IllegalArgumentException](s.process(Seq((0, 1))))
+  }
+
+  test("a batch with an edge outside the universe changes nothing") {
+    val s = newSieve(universe = 10)
+    s.process(Seq((0, 1)))
+    intercept[IllegalArgumentException](s.process(Seq((1, 2), (3, 10))))
+    assert(s.graph.edgeCount == 1 && s.currentValue == 2)
   }
 
   test("oracle calls grow with candidates, not with universe size") {
@@ -147,4 +164,13 @@ class SieveAdnSpec extends AnyFunSuite {
     sSmall.process(Seq((0, 1)))
     assert(cBig.calls == cSmall.calls)
   }
+}
+
+object SieveAdnSpec {
+
+  /** Add `edges` to a shared-graph instance's graph at `expiry` and feed it
+    * those that were new.
+    */
+  def addAndUpdate(s: SieveAdn, edges: Seq[(Int, Int)], expiry: Int): Unit =
+    s.update(edges.filter { case (u, v) => s.graph.addEdge(u, v, expiry) })
 }

@@ -118,4 +118,36 @@ class TdnSpec extends AnyFunSuite {
     tdn.advance(); tdn.advance()
     assert(tdn.now == 2)
   }
+
+  test("toDigraph returns the same live graph across add and advance") {
+    val tdn = new Tdn
+    tdn.add(Seq(TimedEdge(0, 1, 1), TimedEdge(0, 1, 3), TimedEdge(1, 2, 1)))
+    val g = tdn.toDigraph(5)
+    assert(g.edgeCount == 2 && g.expiryOf(0, 1) == 3)
+    tdn.add(Seq(TimedEdge(2, 3, 2), TimedEdge(4, 4, 2)))
+    assert(tdn.toDigraph(5) eq g)
+    assert(g.hasEdge(2, 3) && !g.hasEdge(4, 4))
+    tdn.advance() // (1, 2) expires; (0, 1) is still held by its later copy
+    assert(tdn.toDigraph(5) eq g)
+    assert(g.hasEdge(0, 1) && !g.hasEdge(1, 2))
+    assert(g.nodes.toSeq == Seq(0, 1, 2, 3))
+    tdn.advance(); tdn.advance()
+    assert(g.edgeCount == 0 && g.nodeCount == 0)
+  }
+
+  test("toDigraph rejects a universe other than the live graph's") {
+    val tdn = new Tdn
+    tdn.toDigraph(5)
+    intercept[IllegalArgumentException](tdn.toDigraph(6))
+  }
+
+  test("a rejected batch is not added at all") {
+    val tdn = new Tdn
+    tdn.add(Seq(TimedEdge(0, 1, 2)))
+    intercept[IllegalArgumentException](tdn.add(Seq(TimedEdge(2, 3, 1), TimedEdge(-1, 3, 1))))
+    assert(tdn.aliveCount == 1)
+    val g = tdn.toDigraph(4)
+    intercept[IllegalArgumentException](tdn.add(Seq(TimedEdge(2, 3, 1), TimedEdge(1, 4, 1))))
+    assert(tdn.aliveCount == 1 && g.edgeCount == 1)
+  }
 }
