@@ -5,6 +5,7 @@ import repro.core._
 import repro.ic.{DimTracker, ImmTracker, TimPlusTracker}
 import repro.stream.{InteractionStreams, StreamDriver}
 import repro.stream.InteractionStreams.StreamSpec
+import repro.stream.StreamDriver.StepRecord
 import repro.tdn.Lifetimes
 
 /** The paper's evaluation (§V) as reusable experiment functions: each figure /
@@ -38,6 +39,16 @@ object Experiments {
 
   private def avg(xs: Iterable[Double]): Double =
     if (xs.isEmpty) 0.0 else xs.sum / xs.size
+
+  /** Mean per-step value ratio of `recs` to Greedy's, over the steps where
+    * Greedy's value is positive.
+    */
+  private def valueRatio(recs: Seq[StepRecord], greedy: Seq[StepRecord]): Double =
+    avg(recs.zip(greedy).collect { case (r, g) if g.value > 0 => r.value.toDouble / g.value })
+
+  /** Ratio of cumulative oracle calls at the horizon, `recs` over Greedy's. */
+  private def callRatio(recs: Seq[StepRecord], greedy: Seq[StepRecord]): Double =
+    recs.last.oracleCallsCum.toDouble / math.max(1.0, greedy.last.oracleCallsCum.toDouble)
 
   // ---------------------------------------------------------------- Table I
 
@@ -123,8 +134,8 @@ object Experiments {
       callRatioToGreedy: Double,    // Fig 10 (cumulative calls at the horizon)
   )
 
-  /** A HistApprox whose display name carries its ε — several HistApprox
-    * trackers in one run would otherwise collide in the record map.
+  /** A HistApprox whose display name carries its ε — the step loop rejects
+    * several trackers of one name in one run.
     */
   final class NamedHistApprox(k: Int, eps: Double, maxL: Int, universe: Int)
       extends StreamingInfluenceAlgo {
@@ -155,7 +166,6 @@ object Experiments {
 
       val g       = recs("Greedy")
       val gv      = avg(g.map(_.value.toDouble))
-      val gCalls  = g.last.oracleCallsCum.toDouble
       val rv      = avg(recs("Random").map(_.value.toDouble))
       hists.map { case (e, tracker) =>
         val h = recs(tracker.name)
@@ -164,10 +174,8 @@ object Experiments {
           avgHistValue = avg(h.map(_.value.toDouble)),
           avgGreedyValue = gv,
           avgRandomValue = rv,
-          valueRatioToGreedy = avg(h.zip(g).collect {
-            case (hr, gr) if gr.value > 0 => hr.value.toDouble / gr.value
-          }),
-          callRatioToGreedy = h.last.oracleCallsCum.toDouble / math.max(1.0, gCalls),
+          valueRatioToGreedy = valueRatio(h, g),
+          callRatioToGreedy = callRatio(h, g),
         )
       }
     }
@@ -181,6 +189,25 @@ object Experiments {
       callRatioToGreedy: Double,
   )
 
+  /** HistApprox vs Greedy at one point of a sweep; `param` is the swept value. */
+  private def sweepRow(
+      spark: SparkSession,
+      spec: StreamSpec,
+      param: Int,
+      steps: Int,
+      k: Int,
+      eps: Double,
+      maxL: Int,
+      p: Double,
+  ): SweepRow = {
+    val batches = batchesFor(spark, spec, steps, p, maxL)
+    val hist    = new HistApprox(k, eps, maxL, spec.universe)
+    val greedy  = new GreedyTracker(k, spec.universe)
+    val recs    = StreamDriver.run(batches, Seq(hist, greedy), queryEvery = 1)
+    val (h, g)  = (recs("HistApprox"), recs("Greedy"))
+    SweepRow(spec.name, param, valueRatio(h, g), callRatio(h, g))
+  }
+
   /** Fig. 11: HistApprox vs Greedy across budgets k (ε, L fixed). */
   def fig11(
       spark: SparkSession,
@@ -191,25 +218,7 @@ object Experiments {
       maxL: Int,
       pOf: StreamSpec => Double,
   ): Seq[SweepRow] =
-    for {
-      spec <- specs
-      k    <- ks
-    } yield {
-      val batches = batchesFor(spark, spec, steps, pOf(spec), maxL)
-      val hist    = new HistApprox(k, eps, maxL, spec.universe)
-      val greedy  = new GreedyTracker(k, spec.universe)
-      val recs    = StreamDriver.run(batches, Seq(hist, greedy), queryEvery = 1)
-      val h       = recs("HistApprox")
-      val g       = recs("Greedy")
-      SweepRow(
-        spec.name, k,
-        valueRatioToGreedy = avg(h.zip(g).collect {
-          case (hr, gr) if gr.value > 0 => hr.value.toDouble / gr.value
-        }),
-        callRatioToGreedy =
-          h.last.oracleCallsCum.toDouble / math.max(1.0, g.last.oracleCallsCum.toDouble),
-      )
-    }
+    for { spec <- specs; k <- ks } yield sweepRow(spark, spec, k, steps, k, eps, maxL, pOf(spec))
 
   /** Fig. 12: HistApprox vs Greedy across lifetime caps L (ε, k fixed). */
   def fig12(
@@ -221,25 +230,7 @@ object Experiments {
       eps: Double,
       pOf: StreamSpec => Double,
   ): Seq[SweepRow] =
-    for {
-      spec <- specs
-      l    <- ls
-    } yield {
-      val batches = batchesFor(spark, spec, steps, pOf(spec), l)
-      val hist    = new HistApprox(k, eps, l, spec.universe)
-      val greedy  = new GreedyTracker(k, spec.universe)
-      val recs    = StreamDriver.run(batches, Seq(hist, greedy), queryEvery = 1)
-      val h       = recs("HistApprox")
-      val g       = recs("Greedy")
-      SweepRow(
-        spec.name, l,
-        valueRatioToGreedy = avg(h.zip(g).collect {
-          case (hr, gr) if gr.value > 0 => hr.value.toDouble / gr.value
-        }),
-        callRatioToGreedy =
-          h.last.oracleCallsCum.toDouble / math.max(1.0, g.last.oracleCallsCum.toDouble),
-      )
-    }
+    for { spec <- specs; l <- ls } yield sweepRow(spark, spec, l, steps, k, eps, l, pOf(spec))
 
   // ------------------------------------------------------------ Figs 13, 14
 
@@ -280,9 +271,7 @@ object Experiments {
         Fig13Row(
           spec.name,
           a.name,
-          valueRatioToGreedy = avg(r.zip(g).collect {
-            case (ar, gr) if gr.value > 0 => ar.value.toDouble / gr.value
-          }),
+          valueRatioToGreedy = valueRatio(r, g),
           throughputEdgesPerSec = StreamDriver.throughputEdgesPerSec(batches, r),
         )
       }

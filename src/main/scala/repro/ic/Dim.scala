@@ -34,7 +34,6 @@ final class DimTracker(
     universe: Int,
     beta: Int = 32,
     seed: Long = 7L,
-    alwaysRebuild: Boolean = false, // diagnostic: resample the whole pool per query
 ) extends StreamingInfluenceAlgo {
 
   private val rng      = new java.util.Random(seed)
@@ -66,7 +65,8 @@ final class DimTracker(
   override def observe(batch: Seq[TimedEdge]): Unit = {
     val before = tdn.aliveNodes
     tdn.add(batch)
-    icCache = IcGraph.fromCounts(tdn.interactionCounts, universe)
+    val counts = tdn.interactionCounts
+    icCache = IcGraph.fromCounts(counts, universe)
 
     // New nodes: re-target a proportional share of the pool so that sketch
     // targets keep approximating a uniform draw over V_t.
@@ -82,9 +82,8 @@ final class DimTracker(
     // x interactions, (p_x − p_{x−1})/(1 − p_{x−1}) — flipping the full
     // single-interaction p on every repeat would overextend old sketches
     // until max-cover saturates.
-    val countsNow = tdn.interactionCounts
     batch.foreach { e =>
-      val x     = countsNow.getOrElse((e.u, e.v), 1)
+      val x     = counts.getOrElse((e.u, e.v), 1)
       val pPrev = IcGraph.probabilityOf(x - 1)
       val pMarg = (IcGraph.probabilityOf(x) - pPrev) / math.max(1e-12, 1.0 - pPrev)
       byNode.get(e.v).foreach { ids =>
@@ -147,15 +146,12 @@ final class DimTracker(
   }
 
   override def querySolution: Seq[Int] = {
-    if (alwaysRebuild) (0 until poolSize).foreach(stale.set)
-    else {
-      // Age cap: refresh a rotating 10% slice per query so every sketch is
-      // resampled at least every 10 queries — bounds the drift between the
-      // pool and the current IC graph without a full rebuild.
-      val slice = math.max(1, poolSize / 10)
-      (0 until slice).foreach(i => stale.set((refreshCursor + i) % poolSize))
-      refreshCursor = (refreshCursor + slice) % poolSize
-    }
+    // Age cap: refresh a rotating 10% slice per query so every sketch is
+    // resampled at least every 10 queries — bounds the drift between the
+    // pool and the current IC graph without a full rebuild.
+    val slice = math.max(1, poolSize / 10)
+    (0 until slice).foreach(i => stale.set((refreshCursor + i) % poolSize))
+    refreshCursor = (refreshCursor + slice) % poolSize
     rebuildStale()
     val live = sketches.iterator.filter(_ != null).toIndexedSeq
     if (live.isEmpty) Nil
@@ -163,11 +159,4 @@ final class DimTracker(
   }
 
   override def oracleCalls: Long = 0L
-
-  /** Diagnostics for tests/probes: (live sketches, avg size, stale count). */
-  def poolStats: (Int, Double, Int) = {
-    val live = sketches.filter(_ != null)
-    val avg  = if (live.isEmpty) 0.0 else live.map(_.length).sum.toDouble / live.length
-    (live.length, avg, stale.cardinality())
-  }
 }

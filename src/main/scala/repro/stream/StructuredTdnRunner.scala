@@ -1,71 +1,45 @@
 package repro.stream
 
 import org.apache.spark.sql.{DataFrame, Row}
-import scala.collection.mutable
 import repro.core.StreamingInfluenceAlgo
-import repro.tdn.{Tdn, TimedEdge}
+import repro.stream.StreamDriver.{StepLoop, StepRecord}
 
 /** Structured-Streaming adapter: drives a [[StreamingInfluenceAlgo]] from
-  * `foreachBatch` micro-batches of (ts, src, dst, lifetime) rows.
+  * `foreachBatch` micro-batches of (ts, src, dst, lifetime) rows through the
+  * batch driver's [[StreamDriver.StepLoop]], querying every step, so its
+  * [[results]] compare row-for-row with a [[StreamDriver.run]] replay.
   *
-  * The algorithm's sequential contract (one `observe`+`endStep` per discrete
-  * time step, in order) is reconciled with Spark's micro-batch granularity by
-  * an internal logical clock: each micro-batch is sorted by `ts`, and the
-  * runner advances through every logical step up to the batch's max ts —
-  * including empty steps, which still decay the TDN. Rows with `ts` below the
-  * clock (late data) are rejected: a TDN step, once closed, is immutable.
-  *
-  * Results (t, seeds, f_t(seeds) on the runner's own ground-truth TDN) are
-  * appended to [[results]] at every closed step, so a batch replay through
-  * [[StreamDriver]] and a streaming replay through this runner can be compared
-  * row-for-row in tests.
+  * Only the streaming rules live here: each micro-batch is grouped by `ts`
+  * and every step up to its max ts is closed in order, including empty steps,
+  * which still decay the TDN; rows below the loop's clock (late data) are
+  * rejected, since a closed TDN step is immutable.
   */
-final class StructuredTdnRunner(
-    algo: StreamingInfluenceAlgo,
-    universe: Int,
-) extends Serializable {
+final class StructuredTdnRunner(algo: StreamingInfluenceAlgo, universe: Int) {
+  private val loop = new StepLoop(universe, Seq(algo))
 
-  final case class StepOutput(t: Int, seeds: Seq[Int], value: Int)
-
-  private val truth     = new Tdn
-  private var clock     = 0
-  val results: mutable.Buffer[StepOutput] = mutable.Buffer.empty
+  /** One record per closed step, in time order. */
+  def results: Vector[StepRecord] = loop.records(algo.name)
 
   /** Logical time of the next step to be processed. */
-  def currentStep: Int = clock
-
-  private def closeStep(batch: Seq[TimedEdge]): Unit = {
-    truth.add(batch)
-    algo.observe(batch)
-    val seeds = algo.querySolution
-    val value =
-      if (seeds.isEmpty) 0 else truth.toDigraph(universe).spreadOf(seeds)
-    results += StepOutput(clock, seeds, value)
-    algo.endStep()
-    truth.advance()
-    clock += 1
-  }
+  def currentStep: Int = loop.now
 
   /** Process one micro-batch (driver-side; called from foreachBatch). */
-  def processMicroBatch(df: DataFrame): Unit = {
-    val rows = df.select("ts", "src", "dst", "lifetime").collect()
-    processRows(rows)
-  }
+  def processMicroBatch(df: DataFrame): Unit = processRows(StreamDriver.collectRows(df))
 
   /** Row-level entry point (shared by tests that bypass a streaming query). */
   def processRows(rows: Array[Row]): Unit = {
-    val parsed = rows.map(r => (r.getInt(0), TimedEdge(r.getInt(1), r.getInt(2), r.getInt(3))))
-    parsed.find(_._1 < clock).foreach { case (ts, e) =>
+    val parsed = StreamDriver.parseRows(rows)
+    parsed.find(_._1 < currentStep).foreach { case (ts, e) =>
       throw new IllegalArgumentException(
-        s"late interaction at ts=$ts (< logical clock $clock): $e — closed TDN steps are immutable")
+        s"late interaction at ts=$ts (< logical clock $currentStep): $e — closed TDN steps are immutable")
     }
     parsed.groupBy(_._1).toSeq.sortBy(_._1).foreach { case (ts, group) =>
-      while (clock < ts) closeStep(Nil) // empty steps still decay the TDN
-      closeStep(group.map(_._2).toSeq)
+      drainTo(ts)
+      loop.step(group.map(_._2).toSeq, query = true)
     }
   }
 
   /** Close any remaining empty steps up to `untilStep` (exclusive). */
   def drainTo(untilStep: Int): Unit =
-    while (clock < untilStep) closeStep(Nil)
+    while (currentStep < untilStep) loop.step(Nil, query = true)
 }

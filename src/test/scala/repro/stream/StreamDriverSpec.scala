@@ -33,6 +33,26 @@ class StreamDriverSpec extends SparkSpec {
     assert(b.totalEdges == 1)
   }
 
+  test("batchesFromDf rejects a row with a null field or ts < 0, naming the row") {
+    import spark.implicits._
+    val nullSrc = Seq[(Int, Option[Int], Int, Int)]((0, Some(1), 2, 3), (1, None, 5, 2))
+      .toDF("ts", "src", "dst", "lifetime")
+    val e1 = intercept[IllegalArgumentException](StreamDriver.batchesFromDf(nullSrc, 10, maxSteps = 5))
+    assert(e1.getMessage.contains("[1,null,5,2]"), e1.getMessage)
+    val negTs = Seq((0, 1, 2, 3), (-1, 4, 5, 2)).toDF("ts", "src", "dst", "lifetime")
+    val e2    = intercept[IllegalArgumentException](StreamDriver.batchesFromDf(negTs, 10, maxSteps = 5))
+    assert(e2.getMessage.contains("[-1,4,5,2]"), e2.getMessage)
+  }
+
+  test("run rejects two trackers with the same name, listing it") {
+    val b = smallBatches
+    val e = intercept[IllegalArgumentException] {
+      StreamDriver.run(b, Seq(new HistApprox(3, 0.2, 50, b.universe), new RandomTracker(3, b.universe, seed = 1L),
+        new HistApprox(5, 0.1, 50, b.universe)))
+    }
+    assert(e.getMessage.contains("HistApprox") && !e.getMessage.contains("Random"), e.getMessage)
+  }
+
   test("run produces one record per query step per algorithm") {
     val b    = smallBatches
     val hist = new HistApprox(5, 0.2, 50, b.universe)

@@ -44,6 +44,16 @@ class StructuredRunnerSpec extends SparkSpec {
     }
   }
 
+  test("malformed rows are rejected, naming the row, before any step closes") {
+    import org.apache.spark.sql.Row
+    val runner = new StructuredTdnRunner(new HistApprox(1, 0.2, 40, 10), 10)
+    Seq(Row(0, 1, null, 3), Row(-1, 1, 2, 3), Row(0, 1, 2, 0)).foreach { bad =>
+      val e = intercept[IllegalArgumentException](runner.processRows(Array(Row(0, 1, 2, 3), bad)))
+      assert(e.getMessage.contains(bad.toString), e.getMessage)
+    }
+    assert(runner.currentStep == 0 && runner.results.isEmpty)
+  }
+
   test("drainTo closes empty steps") {
     val runner = new StructuredTdnRunner(new HistApprox(1, 0.2, 40, 10), 10)
     runner.drainTo(7)
@@ -78,6 +88,7 @@ class StructuredRunnerSpec extends SparkSpec {
       assert(s.t == b.t)
       assert(s.seeds == b.seeds, s"t=${s.t}")
       assert(s.value == b.value, s"t=${s.t}")
+      assert(s.oracleCallsCum == b.oracleCallsCum, s"t=${s.t}")
     }
   }
 
@@ -114,7 +125,7 @@ class StructuredRunnerSpec extends SparkSpec {
     val batches = StreamDriver.batchesFromDf(df, universe, 12)
     val batchRecs = StreamDriver
       .run(batches, Seq(new HistApprox(3, 0.2, 40, universe)), queryEvery = 1)("HistApprox")
-    assert(runner.results.map(r => (r.t, r.seeds, r.value)) ==
-      batchRecs.map(r => (r.t, r.seeds, r.value)))
+    assert(runner.results.map(r => (r.t, r.seeds, r.value, r.oracleCallsCum)) ==
+      batchRecs.map(r => (r.t, r.seeds, r.value, r.oracleCallsCum)))
   }
 }
