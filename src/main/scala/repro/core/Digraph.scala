@@ -102,6 +102,24 @@ final class Digraph(val universe: Int) {
     }
   }
 
+  /** The edges (u, v) with expiry in [lo, hi), each once. */
+  def edgesExpiringIn(lo: Int, hi: Int): Seq[(Int, Int)] = {
+    val out = Seq.newBuilder[(Int, Int)]
+    var u   = present.nextSetBit(0)
+    while (u >= 0) {
+      val a = fwd(u)
+      if (a != null) {
+        var i = 0
+        while (i < a.n) {
+          if (a.exp(i) >= lo && a.exp(i) < hi) out += ((u, a.to(i)))
+          i += 1
+        }
+      }
+      u = present.nextSetBit(u + 1)
+    }
+    out.result()
+  }
+
   def outNeighbors(u: Int): Seq[Int] = { val a = fwd(u); if (a == null) Nil else a.to.take(a.n).toSeq }
   def inNeighbors(v: Int): Seq[Int]  = { val a = rev(v); if (a == null) Nil else a.to.take(a.n).toSeq }
 
@@ -141,8 +159,8 @@ final class Digraph(val universe: Int) {
     */
   def reverseReach(target: Int, from: Int = Int.MinValue): JBitSet = bfs(rev, Iterator.single(target), from)
 
-  /** Influence spread of `seeds`: |reach(seeds)|. Callers that must count
-    * oracle calls go through [[Influence.spread]] instead.
+  /** Influence spread of `seeds`: |reach(seeds)|. Not an oracle call by
+    * itself: callers that count oracle calls bump their [[OracleCounter]].
     */
   def spreadOf(seeds: IterableOnce[Int]): Int = reach(seeds).cardinality()
 }

@@ -12,7 +12,7 @@ import repro.tdn.{Tdn, TimedEdge}
   * instance: an instance is a cutoff c over that graph (see [[SieveAdn]]), so
   * instances are keyed by c = t + l and the indices l = c − t shift left by
   * themselves as t advances. Instance creation in the "has successor" case
-  * copies the successor's Δ and sieves and back-fills the alive edges with
+  * copies the successor's Δ and sieves and back-fills the graph's edges with
   * expiry in [c, c*) — remaining lifetime in [l, l*).
   */
 final class HistApprox(
@@ -65,35 +65,16 @@ final class HistApprox(
       val succ = hist.rangeFrom(c).valuesIterator.nextOption()
       val inst = succ.fold(new SieveAdn(k, eps, counter, graph, c))(_.copyInstance(c))
       val hi   = succ.fold(Int.MaxValue)(_.cutoff)
-      inst.update(
-        tdn.aliveInRange(c - tdn.now, hi - tdn.now).iterator
-          .collect { case e if e.u != e.v && graph.expiryOf(e.u, e.v) < hi => (e.u, e.v) }
-          .distinct.toSeq,
-      )
+      inst.update(graph.edgesExpiringIn(c, hi))
       hist(c) = inst
     }
   }
 
-  /** Alg. 3 ReduceRedundancy: kill instances strictly between i and the
-    * largest j > i whose output is within (1−ε) of g(i).
-    */
+  /** Alg. 3 ReduceRedundancy over one snapshot of the instances' outputs. */
   private def reduceRedundancy(): Unit = {
-    var keys = hist.keys.toIndexedSeq
-    var idx  = 0
-    while (idx < keys.length) {
-      val gi   = hist(keys(idx)).currentValue
-      var jIdx = -1
-      var m    = keys.length - 1
-      while (m > idx && jIdx < 0) {
-        if (hist(keys(m)).currentValue >= (1.0 - eps) * gi) jIdx = m
-        m -= 1
-      }
-      if (jIdx > idx + 1) {
-        ((idx + 1) until jIdx).foreach(d => hist.remove(keys(d)))
-        keys = hist.keys.toIndexedSeq
-      }
-      idx += 1
-    }
+    val keys   = hist.keysIterator.toArray
+    val values = hist.valuesIterator.map(_.currentValue).toArray
+    HistApprox.redundant(values, eps).foreach(p => hist.remove(keys(p)))
   }
 
   override def querySolution: Seq[Int] =
@@ -110,4 +91,25 @@ final class HistApprox(
   }
 
   override def oracleCalls: Long = counter.calls
+}
+
+object HistApprox {
+
+  /** Positions that ReduceRedundancy kills, given the outputs g(x_1), g(x_2),
+    * … in index order: walking survivors from the first, kill every position
+    * strictly between i and the largest j > i with g(j) ≥ (1−ε)·g(i), then
+    * resume at j. Killing an instance changes no other instance's output, so
+    * one snapshot of the outputs serves the whole pass.
+    */
+  private[core] def redundant(g: Array[Int], eps: Double): Seq[Int] = {
+    val dead = Seq.newBuilder[Int]
+    var i    = 0
+    while (i < g.length) {
+      var j = g.length - 1
+      while (j > i && g(j) < (1.0 - eps) * g(i)) j -= 1
+      dead ++= (i + 1 until j)
+      i = math.max(j, i + 1)
+    }
+    dead.result()
+  }
 }

@@ -22,8 +22,10 @@ import repro.tdn.{Tdn, TimedEdge}
   *  2. compute the candidate set V̄_t = nodes whose influence spread changed:
   *     for each inserted edge (u,v), {v} ∪ reverseReach(u);
   *  3. evaluate f({v}) for each candidate (one oracle call each), updating
-  *     Δ = max singleton spread, and lazily maintain the threshold set
-  *     Θ = {(1+ε)^i/(2k) : (1+ε)^i ∈ [Δ, 2kΔ]} (Alg. 1 lines 4–7);
+  *     Δ = max singleton spread, and slide the threshold window
+  *     Θ = {(1+ε)^i/(2k) : (1+ε)^i ∈ [Δ, 2kΔ]} (Alg. 1 lines 4–7): one sieve
+  *     per exponent i, held contiguously from the window's low end; as Δ
+  *     grows, sieves below the new low end drop and empty ones open above;
   *  4. update every sieve's cached reach(S_θ)/f(S_θ) *incrementally*: a new
   *     edge (u,v) extends reach(S) iff u ∈ reach(S), in which case
   *     reach(S) ∪= reach(v) — the candidate reach-sets from step 3 are reused,
@@ -51,23 +53,30 @@ final class SieveAdn private[core] (
 
   val universe: Int        = graph.universe
   private var deltaMax: Int = 0 // Δ: max singleton spread seen
-  private val sieves        = mutable.TreeMap.empty[Int, Sieve] // exponent i -> S_θi
+  private var sieves        = Array.empty[Sieve] // sieves(j) is S_θi for exponent i = base + j
+  private var base          = 0
   private val logBase       = math.log1p(eps)
 
   /** θ_i = (1+ε)^i / (2k). */
   private def thetaOf(i: Int): Double = math.pow(1.0 + eps, i) / (2.0 * k)
 
-  /** Alg. 1 lines 5–7: keep exponents i with (1+ε)^i ∈ [Δ, 2kΔ]. */
+  /** Largest exponent i with (1+ε)^i ≤ x. */
+  private def floorExp(x: Double): Int = math.floor(math.log(x) / logBase + 1e-9).toInt
+
+  /** Alg. 1 lines 5–7: slide the window to the exponents i with
+    * (1+ε)^i ∈ [Δ, 2kΔ], keeping the sieves of exponents still inside it.
+    */
   private def refreshThresholds(): Unit = {
     if (deltaMax <= 0) return
-    val lo    = math.ceil(math.log(deltaMax.toDouble) / logBase - 1e-9).toInt
-    val hi    = math.floor(math.log(2.0 * k * deltaMax) / logBase + 1e-9).toInt
-    val stale = sieves.keys.filter(i => i < lo || i > hi).toList
-    stale.foreach(sieves.remove)
-    var i = lo
-    while (i <= hi) {
-      if (!sieves.contains(i)) sieves(i) = new Sieve
-      i += 1
+    val lo = math.ceil(math.log(deltaMax.toDouble) / logBase - 1e-9).toInt
+    val hi = floorExp(2.0 * k * deltaMax)
+    if (lo != base || hi - lo + 1 != sieves.length) {
+      val old = sieves
+      sieves = Array.tabulate(hi - lo + 1) { j =>
+        val o = lo + j - base
+        if (o >= 0 && o < old.length) old(o) else new Sieve
+      }
+      base = lo
     }
   }
 
@@ -128,7 +137,7 @@ final class SieveAdn private[core] (
     // whose source u was already in the old reach(S), and reach(v) on the
     // post-insert graph is transitively complete — so a single sweep or-ing
     // candidate reach-sets is exact. Set algebra only, no oracle calls.
-    sieves.values.foreach { s =>
+    sieves.foreach { s =>
       if (s.members.nonEmpty) {
         inserted.foreach { case (u, v) =>
           if (s.reach.get(u)) s.reach.or(candReach(v))
@@ -141,20 +150,22 @@ final class SieveAdn private[core] (
     // Submodularity pruning: δ_S(v) ≤ f({v}), so thresholds above f({v})
     // are guaranteed rejections — skip them without an oracle call.
     candReach.foreach { case (v, rv) =>
-      val f1    = rv.cardinality()
-      val maxI  = math.floor(math.log(2.0 * k * f1) / logBase + 1e-9).toInt
-      sieves.rangeTo(maxI).foreach { case (i, s) =>
+      val top = math.min(floorExp(2.0 * k * rv.cardinality()) - base, sieves.length - 1)
+      var j   = 0
+      while (j <= top) {
+        val s = sieves(j)
         if (s.members.length < k && !s.members.contains(v)) {
           counter.inc()
           val u = s.reach.clone().asInstanceOf[JBitSet]
           u.or(rv)
           val gain = u.cardinality() - s.value
-          if (gain >= thetaOf(i)) {
+          if (gain >= thetaOf(base + j)) {
             s.members += v
             s.reach = u
             s.value += gain
           }
         }
+        j += 1
       }
     }
   }
@@ -162,22 +173,14 @@ final class SieveAdn private[core] (
   /** g = f(S_{θ*}): value of the best sieve set (Alg. 1 line 12). Cached
     * values are maintained exactly, so this is free of oracle calls.
     */
-  def currentValue: Int = {
-    var best = 0
-    sieves.values.foreach(s => if (s.value > best) best = s.value)
-    best
-  }
+  def currentValue: Int = sieves.foldLeft(0)((best, s) => math.max(best, s.value))
 
-  /** The best sieve set S_{θ*}. */
-  def solution: Seq[Int] = {
-    var best: Sieve = null
-    var bestV       = -1
-    sieves.values.foreach(s => if (s.value > bestV) { bestV = s.value; best = s })
-    if (best == null) Nil else best.members.toSeq
-  }
+  /** The best sieve set S_{θ*}; ties go to the lowest θ. */
+  def solution: Seq[Int] =
+    if (sieves.isEmpty) Nil else sieves.maxBy(_.value).members.toSeq
 
   /** Number of live threshold sets |Θ| (for complexity tests). */
-  def thresholdCount: Int = sieves.size
+  def thresholdCount: Int = sieves.length
 
   /** Current Δ (max singleton spread observed). */
   def delta: Int = deltaMax
@@ -191,7 +194,8 @@ final class SieveAdn private[core] (
     require(cutoff < this.cutoff, s"copy cutoff $cutoff must be below ${this.cutoff}")
     val c = new SieveAdn(k, eps, counter, graph, cutoff)
     c.deltaMax = deltaMax
-    sieves.foreach { case (i, s) => c.sieves(i) = s.copySieve() }
+    c.sieves = sieves.map(_.copySieve())
+    c.base = base
     c
   }
 }

@@ -39,8 +39,7 @@ object WindowedInfluence {
       .limit(k)
 
   /** Tumbling-window influence series: for every window of `w` steps,
-    * (window_start, src, influence). The windowed-aggregation shape used by
-    * the structured-streaming job.
+    * (window_start, src, influence).
     */
   def tumblingSeries(interactions: DataFrame, w: Int): DataFrame =
     interactions

@@ -67,10 +67,6 @@ final class Tdn {
   /** Alive edges at the current time, with remaining lifetime (≥ 1). */
   def aliveEdges: Seq[TimedEdge] = edges.map(a => TimedEdge(a.u, a.v, a.expiry - clock)).toSeq
 
-  /** Alive edges whose remaining lifetime l_e satisfies lo ≤ l_e < hi. */
-  def aliveInRange(lo: Int, hi: Int): Seq[TimedEdge] =
-    aliveEdges.filter(e => e.lifetime >= lo && e.lifetime < hi)
-
   /** Number of alive edges (with multiplicity). */
   def aliveCount: Int = edges.size
 

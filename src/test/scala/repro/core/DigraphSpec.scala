@@ -150,4 +150,18 @@ class DigraphSpec extends AnyFunSuite {
     assert(g.edgeCount == 0 && g.nodeCount == 0 && g.nodes.isEmpty)
     assert(g.spreadOf(Seq(0)) == 1)
   }
+
+  test("edgesExpiringIn lists each edge once by its largest expiry in [lo, hi), without expired edges") {
+    val g = new Digraph(6)
+    g.addEdge(0, 1, expiry = 2)
+    g.addEdge(1, 2, expiry = 3)
+    g.addEdge(2, 3, expiry = 5)
+    g.addEdge(0, 1, expiry = 4) // a later copy raises (0, 1) to 4
+    g.addEdge(3, 4, expiry = 1)
+    g.expire(3, 4, now = 1)
+    assert(g.edgesExpiringIn(3, 5).sorted == Seq((0, 1), (1, 2)))
+    assert(g.edgesExpiringIn(2, 3).isEmpty)
+    assert(g.edgesExpiringIn(5, 6) == Seq((2, 3)))
+    assert(g.edgesExpiringIn(Int.MinValue, Int.MaxValue).sorted == Seq((0, 1), (1, 2), (2, 3)))
+  }
 }

@@ -49,31 +49,4 @@ class InfluenceOracleSpec extends SparkSpec {
       checkAgainstDuck(edges, Seq(seed % 20, (seed * 7) % 20), 20)
     }
   }
-
-  test("Influence.spread counts exactly one oracle call per evaluation") {
-    val g = TestData.digraphOf(5, Seq((0, 1)))
-    val c = new OracleCounter
-    assert(Influence.spread(g, Seq(0), c) == 2)
-    assert(Influence.spread(g, Seq(1), c) == 1)
-    assert(c.calls == 2)
-  }
-
-  test("Influence.marginalGain equals f(S+v) − f(S)") {
-    val g = TestData.digraphOf(6, Seq((0, 1), (2, 3), (3, 4)))
-    val c = new OracleCounter
-    val reachS = g.reach(Seq(0))
-    val fS     = reachS.cardinality()
-    assert(fS == 2)
-    assert(Influence.marginalGain(g, reachS, fS, 2, c) == 3)
-    assert(Influence.marginalGain(g, reachS, fS, 1, c) == 0)
-    assert(c.calls == 2)
-  }
-
-  test("OracleCounter resets") {
-    val c = new OracleCounter
-    c.inc(); c.inc()
-    assert(c.calls == 2)
-    c.reset()
-    assert(c.calls == 0)
-  }
 }

@@ -49,16 +49,6 @@ class TdnSpec extends AnyFunSuite {
     assert(tdn.interactionCounts == Map((0, 1) -> 1))
   }
 
-  test("aliveInRange selects edges by remaining lifetime in [lo, hi)") {
-    val tdn = new Tdn
-    tdn.add(Seq(TimedEdge(0, 1, 1), TimedEdge(1, 2, 3), TimedEdge(2, 3, 5)))
-    assert(tdn.aliveInRange(1, 3).toSet == Set(TimedEdge(0, 1, 1)))
-    assert(tdn.aliveInRange(3, 5).toSet == Set(TimedEdge(1, 2, 3)))
-    assert(tdn.aliveInRange(1, 6).size == 3)
-    tdn.advance()
-    assert(tdn.aliveInRange(1, 3).toSet == Set(TimedEdge(1, 2, 2)))
-  }
-
   test("maxRemainingLifetime tracks the longest-lived alive edge") {
     val tdn = new Tdn
     assert(tdn.maxRemainingLifetime == 0)
