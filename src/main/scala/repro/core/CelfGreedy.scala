@@ -17,57 +17,48 @@ object CelfGreedy {
   def select(g: Digraph, k: Int, counter: OracleCounter): (Seq[Int], Int) = {
     if (g.nodeCount == 0 || k <= 0) return (Nil, 0)
 
-    // Max-heap of (cached upper bound on marginal gain, node, round computed).
-    final case class Entry(gain: Int, node: Int, round: Int)
-    implicit val ord: Ordering[Entry] = Ordering.by(e => (e.gain, e.node))
-    val heap = mutable.PriorityQueue.empty[Entry]
-
+    val heap = new Heap(g.nodeCount)
     g.nodes.foreach { v =>
       counter.inc()
-      heap.enqueue(Entry(g.reach(Iterator.single(v)).cardinality(), v, 0))
+      heap.push(g.spreadOf(Iterator.single(v)), v, 0)
     }
 
-    val seeds             = mutable.ArrayBuffer.empty[Int]
-    var reach: JBitSet    = new JBitSet(g.universe)
-    var value             = 0
-    var round             = 0
+    val seeds   = mutable.ArrayBuffer.empty[Int]
+    val covered = new JBitSet(g.universe) // reach(seeds)
+    var value   = 0
+    var round   = 0
 
     while (seeds.length < k && heap.nonEmpty) {
-      val top = heap.dequeue()
-      if (top.round == round) {
+      val gain  = heap.topGain
+      val node  = heap.topNode
+      val fresh = heap.topRound == round
+      heap.pop()
+      if (fresh) {
         // Lazy evaluation: bound is fresh for this round — take it.
-        seeds += top.node
-        val u = g.reach(Iterator.single(top.node))
-        u.or(reach)
-        reach = u
-        value = reach.cardinality()
+        seeds += node
+        value += Digraph.addAll(g.reachOf(node), covered)
         round += 1
-      } else if (top.gain > 0) {
+      } else if (gain > 0) {
         counter.inc()
-        val u = g.reach(Iterator.single(top.node))
-        u.or(reach)
-        val gain = u.cardinality() - value
-        heap.enqueue(Entry(gain, top.node, round))
+        heap.push(Digraph.countMissing(g.reachOf(node), covered), node, round)
       }
-      // top.gain == 0 and stale: submodularity says it can only shrink — drop.
+      // gain == 0 and stale: submodularity says it can only shrink — drop.
     }
     (seeds.toSeq, value)
   }
 
   /** Plain (non-lazy) greedy — test oracle for CELF's equivalence. */
   def selectNaive(g: Digraph, k: Int, counter: OracleCounter): (Seq[Int], Int) = {
-    val seeds          = mutable.ArrayBuffer.empty[Int]
-    var reach: JBitSet = new JBitSet(g.universe)
-    var value          = 0
+    val seeds   = mutable.ArrayBuffer.empty[Int]
+    val covered = new JBitSet(g.universe)
+    var value   = 0
     while (seeds.length < k) {
       var bestNode = -1
       var bestGain = 0
       g.nodes.foreach { v =>
         if (!seeds.contains(v)) {
           counter.inc()
-          val u = g.reach(Iterator.single(v))
-          u.or(reach)
-          val gain = u.cardinality() - value
+          val gain = Digraph.countMissing(g.reachOf(v), covered)
           if (gain > bestGain || (gain == bestGain && gain > 0 && (bestNode < 0 || v > bestNode))) {
             bestGain = gain
             bestNode = v
@@ -76,11 +67,53 @@ object CelfGreedy {
       }
       if (bestNode < 0) return (seeds.toSeq, value)
       seeds += bestNode
-      val u = g.reach(Iterator.single(bestNode))
-      u.or(reach)
-      reach = u
-      value = reach.cardinality()
+      value += Digraph.addAll(g.reachOf(bestNode), covered)
     }
     (seeds.toSeq, value)
+  }
+
+  /** Max-heap of cached upper bounds on marginal gain, each with the node and
+    * the round it was computed in. Entries are ordered by the key
+    * gain << 32 | node: gains and nodes are non-negative and a node is held
+    * at most once, so keys never tie and the pop order is fully determined.
+    */
+  private final class Heap(capacity: Int) {
+    private val keys   = new Array[Long](capacity)
+    private val rounds = new Array[Int](capacity)
+    private var n      = 0
+
+    def nonEmpty: Boolean = n > 0
+    def topGain: Int      = (keys(0) >>> 32).toInt
+    def topNode: Int      = keys(0).toInt
+    def topRound: Int     = rounds(0)
+
+    def push(gain: Int, node: Int, round: Int): Unit = {
+      val key = gain.toLong << 32 | node
+      var i   = n
+      n += 1
+      while (i > 0 && keys((i - 1) / 2) < key) {
+        val p = (i - 1) / 2
+        keys(i) = keys(p); rounds(i) = rounds(p)
+        i = p
+      }
+      keys(i) = key; rounds(i) = round
+    }
+
+    def pop(): Unit = {
+      n -= 1
+      val key   = keys(n)
+      val round = rounds(n)
+      var i     = 0
+      var done  = n == 0
+      while (!done) {
+        var c = 2 * i + 1
+        if (c + 1 < n && keys(c + 1) > keys(c)) c += 1
+        if (c < n && keys(c) > key) {
+          keys(i) = keys(c); rounds(i) = rounds(c)
+          i = c
+        } else done = true
+      }
+      if (n > 0) { keys(i) = key; rounds(i) = round }
+    }
   }
 }

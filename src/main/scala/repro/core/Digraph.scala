@@ -20,9 +20,12 @@ import java.util.{BitSet => JBitSet}
   *
   * Both forward and reverse adjacency are kept: forward BFS computes influence
   * spread; reverse BFS computes the candidate set V̄_t (nodes whose spread can
-  * change when an edge is inserted).
+  * change when an edge is inserted). Every search reuses one scratch owned by
+  * the graph, so a search costs the nodes it reaches and the edges it scans,
+  * not the universe. A seed outside the universe is rejected.
   *
-  * Not thread-safe.
+  * Not thread-safe, not even for reads: every search writes the shared
+  * scratch.
   */
 final class Digraph(val universe: Int) {
   import Digraph.Adj
@@ -123,49 +126,117 @@ final class Digraph(val universe: Int) {
   def outNeighbors(u: Int): Seq[Int] = { val a = fwd(u); if (a == null) Nil else a.to.take(a.n).toSeq }
   def inNeighbors(v: Int): Seq[Int]  = { val a = rev(v); if (a == null) Nil else a.to.take(a.n).toSeq }
 
-  private def bfs(adj: Array[Adj], seeds: IterableOnce[Int], from: Int): JBitSet = {
-    val visited = new JBitSet(universe)
-    var stack   = new Array[Int](64)
-    var top     = 0
-    def push(x: Int): Unit = {
-      if (top == stack.length) stack = java.util.Arrays.copyOf(stack, stack.length * 2)
-      stack(top) = x; top += 1
+  // Search scratch, reused by every search: `seen` holds one bit per node of
+  // the universe, and found(0 until nFound) lists the nodes the last search
+  // reached, in BFS order, doubling as its queue. Only those nodes' words of
+  // `seen` are set, so the next search clears just them.
+  private val seen   = new Array[Long]((universe + 63) >>> 6)
+  private var found  = new Array[Int](64)
+  private var nFound = 0
+
+  /** Mark `v` reached, queueing it, unless it already is. */
+  private def visit(v: Int): Unit = {
+    val w = v >>> 6
+    val b = 1L << v
+    if ((seen(w) & b) == 0L) {
+      seen(w) |= b
+      if (nFound == found.length) found = java.util.Arrays.copyOf(found, 2 * nFound)
+      found(nFound) = v
+      nFound += 1
     }
+  }
+
+  /** The one search: BFS over `adj` from `seeds`, along edges with expiry ≥
+    * `from`. Leaves the reached nodes, seeds first, in found(0 until n) and
+    * returns n. Costs O(nodes reached + edges scanned) plus the seeds.
+    */
+  private def search(adj: Array[Adj], seeds: IterableOnce[Int], from: Int): Int = {
+    var i = 0
+    while (i < nFound) { seen(found(i) >>> 6) = 0L; i += 1 }
+    nFound = 0
     seeds.iterator.foreach { s =>
-      if (s >= 0 && s < universe && !visited.get(s)) { visited.set(s); push(s) }
+      require(s >= 0 && s < universe, s"seed $s outside universe $universe")
+      visit(s)
     }
-    while (top > 0) {
-      top -= 1
-      val a = adj(stack(top))
+    var head = 0
+    while (head < nFound) {
+      val a = adj(found(head))
+      head += 1
       if (a != null) {
-        var i = 0
-        while (i < a.n) {
-          val w = a.to(i)
-          if (a.exp(i) >= from && !visited.get(w)) { visited.set(w); push(w) }
-          i += 1
+        var j = 0
+        while (j < a.n) {
+          if (a.exp(j) >= from) visit(a.to(j))
+          j += 1
         }
       }
     }
-    visited
+    nFound
   }
+
+  private def foundSet(): JBitSet = {
+    val out = new JBitSet(universe)
+    var i   = 0
+    while (i < nFound) { out.set(found(i)); i += 1 }
+    out
+  }
+
+  /** Nodes reachable from `v` (v first) over the edges with expiry ≥ `from`. */
+  def reachOf(v: Int, from: Int = Int.MinValue): Array[Int] =
+    java.util.Arrays.copyOf(found, search(fwd, Iterator.single(v), from))
 
   /** Set of nodes reachable from `seeds` (seeds included) over the edges with
     * expiry ≥ `from`.
     */
-  def reach(seeds: IterableOnce[Int], from: Int = Int.MinValue): JBitSet = bfs(fwd, seeds, from)
+  def reach(seeds: IterableOnce[Int], from: Int = Int.MinValue): JBitSet = {
+    search(fwd, seeds, from)
+    foundSet()
+  }
 
   /** Set of nodes that can reach `target` (target included) over the edges
     * with expiry ≥ `from`.
     */
-  def reverseReach(target: Int, from: Int = Int.MinValue): JBitSet = bfs(rev, Iterator.single(target), from)
+  def reverseReach(target: Int, from: Int = Int.MinValue): JBitSet = {
+    search(rev, Iterator.single(target), from)
+    foundSet()
+  }
 
-  /** Influence spread of `seeds`: |reach(seeds)|. Not an oracle call by
-    * itself: callers that count oracle calls bump their [[OracleCounter]].
+  /** Add to `acc` the nodes that can reach `target` (target included) over
+    * the edges with expiry ≥ `from`.
     */
-  def spreadOf(seeds: IterableOnce[Int]): Int = reach(seeds).cardinality()
+  def reverseReachInto(target: Int, from: Int, acc: JBitSet): Unit = {
+    val n = search(rev, Iterator.single(target), from)
+    var i = 0
+    while (i < n) { acc.set(found(i)); i += 1 }
+  }
+
+  /** Influence spread of `seeds` over the edges with expiry ≥ `from`:
+    * |reach(seeds, from)|, counted without building the set. Not an oracle
+    * call by itself: callers that count oracle calls bump their
+    * [[OracleCounter]].
+    */
+  def spreadOf(seeds: IterableOnce[Int], from: Int = Int.MinValue): Int = search(fwd, seeds, from)
 }
 
 object Digraph {
+
+  /** |r \ s|: how many nodes of `r` are not in `s`. */
+  def countMissing(r: Array[Int], s: JBitSet): Int = {
+    var n = 0
+    var i = 0
+    while (i < r.length) { if (!s.get(r(i))) n += 1; i += 1 }
+    n
+  }
+
+  /** s ∪= r, returning |r \ s| before the union: how much `s` grew. */
+  def addAll(r: Array[Int], s: JBitSet): Int = {
+    var n = 0
+    var i = 0
+    while (i < r.length) {
+      if (!s.get(r(i))) { s.set(r(i)); n += 1 }
+      i += 1
+    }
+    n
+  }
 
   /** One node's adjacency: neighbour ids and edge expiries, side by side. */
   private final class Adj {

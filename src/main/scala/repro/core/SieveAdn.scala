@@ -1,8 +1,6 @@
 package repro.core
 
 import java.util.{BitSet => JBitSet}
-import scala.collection.mutable
-import scala.collection.mutable.ArrayBuffer
 import repro.tdn.{Tdn, TimedEdge}
 
 /** SieveADN (Alg. 1): streaming influence maximization over an addition-only
@@ -21,7 +19,8 @@ import repro.tdn.{Tdn, TimedEdge}
   *  1. the edges are in the graph (the stand-alone [[process]] inserts them);
   *  2. compute the candidate set V̄_t = nodes whose influence spread changed:
   *     for each inserted edge (u,v), {v} ∪ reverseReach(u);
-  *  3. evaluate f({v}) for each candidate (one oracle call each), updating
+  *  3. evaluate f({v}) for each candidate (one oracle call each), keeping
+  *     reach(v) as a list of nodes, updating
   *     Δ = max singleton spread, and slide the threshold window
   *     Θ = {(1+ε)^i/(2k) : (1+ε)^i ∈ [Δ, 2kΔ]} (Alg. 1 lines 4–7): one sieve
   *     per exponent i, held contiguously from the window's low end; as Δ
@@ -31,7 +30,8 @@ import repro.tdn.{Tdn, TimedEdge}
   *     reach(S) ∪= reach(v) — the candidate reach-sets from step 3 are reused,
   *     so this is exact set algebra with no further oracle calls;
   *  5. sieve each candidate into every non-full threshold set whose θ its
-  *     marginal gain meets (one oracle call per evaluation, Alg. 1 lines 8–11).
+  *     marginal gain |reach(v) \ reach(S)| meets, counted over the list
+  *     (one oracle call per evaluation, Alg. 1 lines 8–11).
   *
   * The oracle-call ledger therefore counts exactly the f evaluations the
   * paper's complexity analysis counts: O(b · ε⁻¹ log k) per batch (Theorem 3).
@@ -74,26 +74,23 @@ final class SieveAdn private[core] (
       val old = sieves
       sieves = Array.tabulate(hi - lo + 1) { j =>
         val o = lo + j - base
-        if (o >= 0 && o < old.length) old(o) else new Sieve
+        if (o >= 0 && o < old.length) old(o) else new Sieve(k)
       }
       base = lo
     }
   }
 
-  /** Candidate set V̄: for each newly inserted edge (u,v), v plus every node
-    * that can reach u (their spread grew). Computed on the post-insert graph;
-    * reverse BFS is bookkeeping, not an oracle call.
+  /** Candidate set V̄, ascending: for each newly inserted edge (u,v), v plus
+    * every node that can reach u (their spread grew). Computed on the
+    * post-insert graph; reverse BFS is bookkeeping, not an oracle call.
     */
-  private def candidates(inserted: Seq[(Int, Int)]): Seq[Int] = {
+  private def candidates(inserted: Seq[(Int, Int)]): Array[Int] = {
     val acc = new JBitSet(universe)
     inserted.foreach { case (u, v) =>
       acc.set(v)
-      acc.or(graph.reverseReach(u, cutoff))
+      graph.reverseReachInto(u, cutoff, acc)
     }
-    val out = new ArrayBuffer[Int](acc.cardinality())
-    var i   = acc.nextSetBit(0)
-    while (i >= 0) { out += i; i = acc.nextSetBit(i + 1) }
-    out.toSeq
+    acc.stream().toArray
   }
 
   /** Process one batch of arriving edges into a stand-alone instance's own
@@ -121,52 +118,50 @@ final class SieveAdn private[core] (
     val cand = candidates(inserted)
 
     // Δ update (Alg. 1 line 4) — f({v}) for each candidate, one call each;
-    // the reach-sets are retained for the incremental update and sieving pass.
-    val candReach = mutable.LinkedHashMap.empty[Int, JBitSet]
-    cand.foreach { v =>
+    // the reach-sets, parallel to `cand`, are retained for the incremental
+    // update and sieving pass.
+    val candReach = new Array[Array[Int]](cand.length)
+    var c         = 0
+    while (c < cand.length) {
       counter.inc()
-      val r = graph.reach(Iterator.single(v), cutoff)
-      candReach(v) = r
-      val f1 = r.cardinality()
-      if (f1 > deltaMax) deltaMax = f1
+      candReach(c) = graph.reachOf(cand(c), cutoff)
+      if (candReach(c).length > deltaMax) deltaMax = candReach(c).length
+      c += 1
     }
     refreshThresholds()
 
     // Exact incremental maintenance of cached reach(S_θ)/f(S_θ): any path
     // from S to a newly reachable node crosses a first inserted edge (u,v)
     // whose source u was already in the old reach(S), and reach(v) on the
-    // post-insert graph is transitively complete — so a single sweep or-ing
+    // post-insert graph is transitively complete — so a single sweep adding
     // candidate reach-sets is exact. Set algebra only, no oracle calls.
     sieves.foreach { s =>
-      if (s.members.nonEmpty) {
+      if (s.size > 0) {
         inserted.foreach { case (u, v) =>
-          if (s.reach.get(u)) s.reach.or(candReach(v))
+          if (s.reach.get(u)) s.add(candReach(java.util.Arrays.binarySearch(cand, v)))
         }
-        s.value = s.reach.cardinality()
       }
     }
 
-    // Sieving pass (Alg. 1 lines 8–11): one oracle call per marginal gain.
+    // Sieving pass (Alg. 1 lines 8–11): one oracle call per marginal gain,
+    // |r \ reach(S)| counted over the candidate's reach-set r.
     // Submodularity pruning: δ_S(v) ≤ f({v}), so thresholds above f({v})
     // are guaranteed rejections — skip them without an oracle call.
-    candReach.foreach { case (v, rv) =>
-      val top = math.min(floorExp(2.0 * k * rv.cardinality()) - base, sieves.length - 1)
+    c = 0
+    while (c < cand.length) {
+      val v   = cand(c)
+      val rv  = candReach(c)
+      val top = math.min(floorExp(2.0 * k * rv.length) - base, sieves.length - 1)
       var j   = 0
       while (j <= top) {
         val s = sieves(j)
-        if (s.members.length < k && !s.members.contains(v)) {
+        if (s.size < k && !s.contains(v)) {
           counter.inc()
-          val u = s.reach.clone().asInstanceOf[JBitSet]
-          u.or(rv)
-          val gain = u.cardinality() - s.value
-          if (gain >= thetaOf(base + j)) {
-            s.members += v
-            s.reach = u
-            s.value += gain
-          }
+          if (Digraph.countMissing(rv, s.reach) >= thetaOf(base + j)) s.accept(v, rv)
         }
         j += 1
       }
+      c += 1
     }
   }
 
@@ -177,7 +172,7 @@ final class SieveAdn private[core] (
 
   /** The best sieve set S_{θ*}; ties go to the lowest θ. */
   def solution: Seq[Int] =
-    if (sieves.isEmpty) Nil else sieves.maxBy(_.value).members.toSeq
+    if (sieves.isEmpty) Nil else sieves.maxBy(_.value).seeds
 
   /** Number of live threshold sets |Θ| (for complexity tests). */
   def thresholdCount: Int = sieves.length
@@ -217,15 +212,40 @@ object SieveAdn {
     pairs.lazyZip(before).map { case ((u, v), b) => Arrival(u, v, b, graph.expiryOf(u, v)) }
   }
 
-  /** One threshold's sieve set S_θ with exactly-maintained f(S_θ), reach(S_θ). */
-  private final class Sieve {
-    val members        = new ArrayBuffer[Int](4)
+  /** One threshold's sieve set S_θ, members(0 until size), with
+    * exactly-maintained f(S_θ) = value = |reach(S_θ)|.
+    */
+  private final class Sieve(k: Int) {
+    val members        = new Array[Int](k)
+    var size           = 0
     var reach: JBitSet = new JBitSet(0)
-    var value: Int     = 0
+    var value          = 0
+
+    def seeds: Seq[Int] = members.take(size).toSeq
+
+    def contains(v: Int): Boolean = {
+      var i = 0
+      while (i < size && members(i) != v) i += 1
+      i < size
+    }
+
+    /** reach(S) ∪= r, keeping `value` exact. */
+    def add(r: Array[Int]): Unit = value += Digraph.addAll(r, reach)
+
+    /** Take v, with reach-set r, into S. The reach set is re-trimmed, since
+      * in-place adds grow its words by doubling.
+      */
+    def accept(v: Int, r: Array[Int]): Unit = {
+      members(size) = v
+      size += 1
+      add(r)
+      reach = reach.clone().asInstanceOf[JBitSet]
+    }
 
     def copySieve(): Sieve = {
-      val s = new Sieve
-      s.members ++= members
+      val s = new Sieve(members.length)
+      System.arraycopy(members, 0, s.members, 0, size)
+      s.size = size
       s.reach = reach.clone().asInstanceOf[JBitSet]
       s.value = value
       s

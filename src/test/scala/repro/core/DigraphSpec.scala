@@ -1,5 +1,8 @@
 package repro.core
 
+import java.util.{BitSet => JBitSet}
+import scala.collection.mutable
+import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
 
@@ -163,5 +166,73 @@ class DigraphSpec extends AnyFunSuite {
     assert(g.edgesExpiringIn(2, 3).isEmpty)
     assert(g.edgesExpiringIn(5, 6) == Seq((2, 3)))
     assert(g.edgesExpiringIn(Int.MinValue, Int.MaxValue).sorted == Seq((0, 1), (1, 2), (2, 3)))
+  }
+
+  test("a seed outside the universe is rejected with an error naming it") {
+    val g = TestData.digraphOf(4, Seq((0, 1)))
+    val bad = Seq[(Int, Digraph => Any)](
+      4  -> (_.spreadOf(Seq(0, 4))),
+      -1 -> (_.reach(Seq(-1))),
+      7  -> (_.reachOf(7)),
+      4  -> (_.reverseReach(4)),
+      9  -> (_.reverseReachInto(9, Int.MinValue, new JBitSet)),
+    )
+    bad.foreach { case (seed, search) =>
+      val e = intercept[IllegalArgumentException](search(g))
+      assert(e.getMessage.contains(s"seed $seed outside universe 4"), e.getMessage)
+    }
+    assert(g.spreadOf(Seq(0)) == 2 && g.reachOf(1).toSeq == Seq(1))
+  }
+
+  test("searches reusing the scratch agree with a fresh naive BFS while edges come and go") {
+    for (seed <- 0L until 25L) {
+      val rng   = new Random(seed)
+      val n     = 2 + rng.nextInt(90)
+      val g     = new Digraph(n)
+      val model = mutable.Map.empty[(Int, Int), Int] // edge -> expiry
+      def naive(seeds: Seq[Int], from: Int, reverse: Boolean): Set[Int] = {
+        val live = model.toSeq.collect { case ((u, v), e) if e >= from => if (reverse) (v, u) else (u, v) }
+        TestData.referenceReach(live, seeds)
+      }
+      def members(b: JBitSet): Set[Int] = b.stream().toArray.toSet
+      for (op <- 0 until 400) {
+        val u    = rng.nextInt(n)
+        val from = rng.nextInt(12)
+        val ctx  = s"seed=$seed op=$op u=$u from=$from"
+        rng.nextInt(9) match {
+          case 0 | 1 =>
+            val v = rng.nextInt(n)
+            val e = rng.nextInt(12)
+            g.addEdge(u, v, e)
+            if (u != v) model((u, v)) = math.max(model.getOrElse((u, v), e), e)
+          case 2 =>
+            if (model.nonEmpty) {
+              val (a, b) = model.keys.toIndexedSeq(rng.nextInt(model.size))
+              val now    = rng.nextInt(12)
+              g.expire(a, b, now)
+              if (model((a, b)) <= now) model -= ((a, b))
+            }
+          case 3 =>
+            val r = g.reachOf(u, from)
+            assert(r.head == u && r.distinct.length == r.length, ctx)
+            assert(r.toSet == naive(Seq(u), from, reverse = false), ctx)
+          case 4 =>
+            val seeds = Seq.fill(1 + rng.nextInt(3))(rng.nextInt(n))
+            assert(g.spreadOf(seeds, from) == naive(seeds, from, reverse = false).size, ctx)
+          case 5 =>
+            val seeds = Seq.fill(1 + rng.nextInt(3))(rng.nextInt(n))
+            assert(members(g.reach(seeds, from)) == naive(seeds, from, reverse = false), ctx)
+          case 6 =>
+            assert(members(g.reverseReach(u, from)) == naive(Seq(u), from, reverse = true), ctx)
+          case _ =>
+            val acc = new JBitSet
+            val pre = rng.nextInt(n)
+            acc.set(pre)
+            g.reverseReachInto(u, from, acc)
+            assert(members(acc) == naive(Seq(u), from, reverse = true) + pre, ctx)
+        }
+        assert(g.edgeCount == model.size, ctx)
+      }
+    }
   }
 }
