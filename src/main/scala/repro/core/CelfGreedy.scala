@@ -29,7 +29,6 @@ object CelfGreedy {
     var round   = 0
 
     while (seeds.length < k && heap.nonEmpty) {
-      val gain  = heap.topGain
       val node  = heap.topNode
       val fresh = heap.topRound == round
       heap.pop()
@@ -38,11 +37,13 @@ object CelfGreedy {
         seeds += node
         value += Digraph.addAll(g.reachOf(node), covered)
         round += 1
-      } else if (gain > 0) {
+      } else {
         counter.inc()
-        heap.push(Digraph.countMissing(g.reachOf(node), covered), node, round)
+        val gain = Digraph.countMissing(g.reachOf(node), covered)
+        // A zero gain can only stay zero (submodularity): drop the node, so
+        // a fresh top always gains and S stops where naive greedy stops.
+        if (gain > 0) heap.push(gain, node, round)
       }
-      // gain == 0 and stale: submodularity says it can only shrink — drop.
     }
     (seeds.toSeq, value)
   }
@@ -83,7 +84,6 @@ object CelfGreedy {
     private var n      = 0
 
     def nonEmpty: Boolean = n > 0
-    def topGain: Int      = (keys(0) >>> 32).toInt
     def topNode: Int      = keys(0).toInt
     def topRound: Int     = rounds(0)
 

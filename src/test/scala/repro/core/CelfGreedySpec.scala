@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
 
@@ -45,6 +46,20 @@ class CelfGreedySpec extends AnyFunSuite {
       val (_, vNaive) = CelfGreedy.selectNaive(g, 3, new OracleCounter)
       assert(vLazy == vNaive, s"seed=$seed lazy=$vLazy naive=$vNaive")
     }
+  }
+
+  test("CELF picks naive greedy's seeds, adding no zero-gain seed") {
+    for (seed <- 0 until 400) {
+      val rng = new Random(seed)
+      val n   = 2 + rng.nextInt(30)
+      val g   = TestData.digraphOf(n, TestData.randomEdges(n, rng.nextInt(2 * n), 500L + seed))
+      val k   = 1 + rng.nextInt(6)
+      val lazySel  = CelfGreedy.select(g, k, new OracleCounter)
+      val naiveSel = CelfGreedy.selectNaive(g, k, new OracleCounter)
+      assert(lazySel == naiveSel, s"seed=$seed")
+    }
+    val chain = TestData.digraphOf(4, Seq((0, 1), (1, 2)))
+    assert(CelfGreedy.select(chain, 3, new OracleCounter) == ((Seq(0), 3)))
   }
 
   test("lazy evaluation uses no more oracle calls than naive greedy") {
