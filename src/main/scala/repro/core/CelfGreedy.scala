@@ -20,7 +20,7 @@ object CelfGreedy {
     val heap = new Heap(g.nodeCount)
     g.nodes.foreach { v =>
       counter.inc()
-      heap.push(g.spreadOf(Iterator.single(v)), v, 0)
+      heap.push(g.spreadOf(v, Int.MinValue), v, 0)
     }
 
     val seeds   = mutable.ArrayBuffer.empty[Int]

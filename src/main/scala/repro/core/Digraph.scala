@@ -146,18 +146,24 @@ final class Digraph(val universe: Int) {
     }
   }
 
-  /** The one search: BFS over `adj` from `seeds`, along edges with expiry ≥
-    * `from`. Leaves the reached nodes, seeds first, in found(0 until n) and
-    * returns n. Costs O(nodes reached + edges scanned) plus the seeds.
-    */
-  private def search(adj: Array[Adj], seeds: IterableOnce[Int], from: Int): Int = {
+  /** Start a search: clear the marks the last one left. */
+  private def restart(): Unit = {
     var i = 0
     while (i < nFound) { seen(found(i) >>> 6) = 0L; i += 1 }
     nFound = 0
-    seeds.iterator.foreach { s =>
-      require(s >= 0 && s < universe, s"seed $s outside universe $universe")
-      visit(s)
-    }
+  }
+
+  private def seed(s: Int): Unit = {
+    require(s >= 0 && s < universe, s"seed $s outside universe $universe")
+    visit(s)
+  }
+
+  /** The one search: BFS over `adj` from the seeds marked since [[restart]],
+    * along edges with expiry ≥ `from`. Leaves the reached nodes, seeds first,
+    * in found(0 until n) and returns n. Costs O(nodes reached + edges
+    * scanned).
+    */
+  private def search(adj: Array[Adj], from: Int): Int = {
     var head = 0
     while (head < nFound) {
       val a = adj(found(head))
@@ -173,40 +179,42 @@ final class Digraph(val universe: Int) {
     nFound
   }
 
-  private def foundSet(): JBitSet = {
-    val out = new JBitSet(universe)
-    var i   = 0
-    while (i < nFound) { out.set(found(i)); i += 1 }
-    out
+  /** Add the last search's nodes to `acc`; returns `acc`. */
+  private def foundInto(acc: JBitSet): JBitSet = {
+    var i = 0
+    while (i < nFound) { acc.set(found(i)); i += 1 }
+    acc
   }
 
   /** Nodes reachable from `v` (v first) over the edges with expiry ≥ `from`. */
-  def reachOf(v: Int, from: Int = Int.MinValue): Array[Int] =
-    java.util.Arrays.copyOf(found, search(fwd, Iterator.single(v), from))
+  def reachOf(v: Int, from: Int = Int.MinValue): Array[Int] = {
+    restart()
+    seed(v)
+    java.util.Arrays.copyOf(found, search(fwd, from))
+  }
 
   /** Set of nodes reachable from `seeds` (seeds included) over the edges with
     * expiry ≥ `from`.
     */
   def reach(seeds: IterableOnce[Int], from: Int = Int.MinValue): JBitSet = {
-    search(fwd, seeds, from)
-    foundSet()
+    spreadOf(seeds, from)
+    foundInto(new JBitSet(universe))
   }
 
   /** Set of nodes that can reach `target` (target included) over the edges
     * with expiry ≥ `from`.
     */
-  def reverseReach(target: Int, from: Int = Int.MinValue): JBitSet = {
-    search(rev, Iterator.single(target), from)
-    foundSet()
-  }
+  def reverseReach(target: Int, from: Int = Int.MinValue): JBitSet =
+    reverseReachInto(target, from, new JBitSet(universe))
 
   /** Add to `acc` the nodes that can reach `target` (target included) over
-    * the edges with expiry ≥ `from`.
+    * the edges with expiry ≥ `from`; returns `acc`.
     */
-  def reverseReachInto(target: Int, from: Int, acc: JBitSet): Unit = {
-    val n = search(rev, Iterator.single(target), from)
-    var i = 0
-    while (i < n) { acc.set(found(i)); i += 1 }
+  def reverseReachInto(target: Int, from: Int, acc: JBitSet): JBitSet = {
+    restart()
+    seed(target)
+    search(rev, from)
+    foundInto(acc)
   }
 
   /** Influence spread of `seeds` over the edges with expiry ≥ `from`:
@@ -214,7 +222,18 @@ final class Digraph(val universe: Int) {
     * call by itself: callers that count oracle calls bump their
     * [[OracleCounter]].
     */
-  def spreadOf(seeds: IterableOnce[Int], from: Int = Int.MinValue): Int = search(fwd, seeds, from)
+  def spreadOf(seeds: IterableOnce[Int], from: Int = Int.MinValue): Int = {
+    restart()
+    seeds.iterator.foreach(seed)
+    search(fwd, from)
+  }
+
+  /** Influence spread of the single seed `v`: spreadOf(Seq(v), from). */
+  def spreadOf(v: Int, from: Int): Int = {
+    restart()
+    seed(v)
+    search(fwd, from)
+  }
 }
 
 object Digraph {

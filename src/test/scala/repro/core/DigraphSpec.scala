@@ -174,6 +174,7 @@ class DigraphSpec extends AnyFunSuite {
       4  -> (_.spreadOf(Seq(0, 4))),
       -1 -> (_.reach(Seq(-1))),
       7  -> (_.reachOf(7)),
+      5  -> (_.spreadOf(5, 0)),
       4  -> (_.reverseReach(4)),
       9  -> (_.reverseReachInto(9, Int.MinValue, new JBitSet)),
     )
@@ -219,6 +220,7 @@ class DigraphSpec extends AnyFunSuite {
           case 4 =>
             val seeds = Seq.fill(1 + rng.nextInt(3))(rng.nextInt(n))
             assert(g.spreadOf(seeds, from) == naive(seeds, from, reverse = false).size, ctx)
+            assert(g.spreadOf(u, from) == naive(Seq(u), from, reverse = false).size, ctx)
           case 5 =>
             val seeds = Seq.fill(1 + rng.nextInt(3))(rng.nextInt(n))
             assert(members(g.reach(seeds, from)) == naive(seeds, from, reverse = false), ctx)
