@@ -39,7 +39,8 @@ object CelfGreedy {
         round += 1
       } else {
         counter.inc()
-        val gain = Digraph.countMissing(g.reachOf(node), covered)
+        // A covered node's reach is covered too: its gain is 0 unsearched.
+        val gain = if (covered.get(node)) 0 else Digraph.countMissing(g.reachOf(node), covered)
         // A zero gain can only stay zero (submodularity): drop the node, so
         // a fresh top always gains and S stops where naive greedy stops.
         if (gain > 0) heap.push(gain, node, round)

@@ -134,17 +134,22 @@ final class SieveAdn private[core] (
     // from S to a newly reachable node crosses a first inserted edge (u,v)
     // whose source u was already in the old reach(S), and reach(v) on the
     // post-insert graph is transitively complete — so a single sweep adding
-    // candidate reach-sets is exact. Set algebra only, no oracle calls.
+    // candidate reach-sets is exact. An edge whose v is already in reach(S)
+    // adds nothing the sweep misses: v was either added with a complete
+    // reach-set holding reach(v), or was in the old reach(S), where the
+    // first inserted edge on each of v's new paths is swept in its turn.
+    // Set algebra only, no oracle calls.
     sieves.foreach { s =>
       if (s.size > 0) {
         inserted.foreach { case (u, v) =>
-          if (s.reach.get(u)) s.add(candReach(java.util.Arrays.binarySearch(cand, v)))
+          if (s.reach.get(u) && !s.reach.get(v)) s.add(candReach(java.util.Arrays.binarySearch(cand, v)))
         }
       }
     }
 
     // Sieving pass (Alg. 1 lines 8–11): one oracle call per marginal gain,
-    // |r \ reach(S)| counted over the candidate's reach-set r.
+    // |r \ reach(S)| counted over the candidate's reach-set r against the
+    // integer threshold ⌈θ⌉.
     // Submodularity pruning: δ_S(v) ≤ f({v}), so thresholds above f({v})
     // are guaranteed rejections — skip them without an oracle call.
     c = 0
@@ -157,7 +162,7 @@ final class SieveAdn private[core] (
         val s = sieves(j)
         if (s.size < k && !s.contains(v)) {
           counter.inc()
-          if (Digraph.countMissing(rv, s.reach) >= thetaOf(base + j)) s.accept(v, rv)
+          if (s.gainMeets(v, rv, math.ceil(thetaOf(base + j)).toInt)) s.accept(v, rv)
         }
         j += 1
       }
@@ -227,6 +232,21 @@ object SieveAdn {
       var i = 0
       while (i < size && members(i) != v) i += 1
       i < size
+    }
+
+    /** Whether δ_S(v) = |r \ reach(S)| ≥ need, for v's reach-set r. Counts
+      * only until the answer is known; a v in reach(S) has all of r there.
+      */
+    def gainMeets(v: Int, r: Array[Int], need: Int): Boolean = {
+      if (reach.get(v)) return need <= 0
+      val n = r.length
+      var g = 0
+      var i = 0
+      while (i < n && g < need && g + n - i >= need) {
+        if (!reach.get(r(i))) g += 1
+        i += 1
+      }
+      g >= need
     }
 
     /** reach(S) ∪= r, keeping `value` exact. */
