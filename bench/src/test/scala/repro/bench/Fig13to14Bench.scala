@@ -10,8 +10,9 @@ import repro.experiments.{Defaults, Experiments}
   * Paper shapes asserted: HistApprox, IMM, TIM+ all find high-quality
   * solutions; DIM is less stable; the static-index methods (IMM/TIM+) have
   * the lowest throughput, below DIM, below HistApprox. Known deviation
-  * (EXPERIMENTS.md): lazy Greedy's raw throughput is competitive at 1/100
-  * scale because |V_t| is two orders smaller than the paper's.
+  * (EXPERIMENTS.md): lazy Greedy's raw throughput is above HistApprox's at
+  * 1/100 scale, because on a G_t two orders smaller than the paper's each
+  * oracle call reaches few nodes and costs little.
   */
 class Fig13to14Bench extends SparkSpec {
 
