@@ -190,7 +190,8 @@ final class Digraph(val universe: Int) {
   def reachOf(v: Int, from: Int = Int.MinValue): Array[Int] = {
     restart()
     seed(v)
-    java.util.Arrays.copyOf(found, search(fwd, from))
+    val n = search(fwd, from) // may grow `found`: read it only afterwards
+    java.util.Arrays.copyOf(found, n)
   }
 
   /** Set of nodes reachable from `seeds` (seeds included) over the edges with

@@ -168,6 +168,12 @@ class DigraphSpec extends AnyFunSuite {
     assert(g.edgesExpiringIn(Int.MinValue, Int.MaxValue).sorted == Seq((0, 1), (1, 2), (2, 3)))
   }
 
+  test("reachOf on a fresh graph returns every reached node even when the search grows the scratch") {
+    val g = TestData.digraphOf(201, (1 until 200).map(i => (i, i + 1)))
+    assert(g.reachOf(1).toSeq == (1 to 200))
+    assert(g.reachOf(1).toSeq == (1 to 200))
+  }
+
   test("a seed outside the universe is rejected with an error naming it") {
     val g = TestData.digraphOf(4, Seq((0, 1)))
     val bad = Seq[(Int, Digraph => Any)](
