@@ -2,6 +2,7 @@ package repro.stream
 
 import scala.util.Random
 import repro.core.{BasicReduction, GreedyTracker, HistApprox, RandomTracker, StreamingInfluenceAlgo}
+import repro.ic.DimTracker
 import repro.stream.StreamDriver.Batches
 import repro.tdn.TimedEdge
 
@@ -17,7 +18,9 @@ object GoldenStreams {
   val k   = 3
   val eps = 0.2
 
-  /** The four trackers, in record order. */
+  /** The five trackers, in record order. DIM (β = 4, seed 3) was appended
+    * last, so its rows follow the other four's in the golden file.
+    */
   def trackers(c: Case): Seq[StreamingInfluenceAlgo] = {
     val n = c.batches.universe
     Seq(
@@ -25,6 +28,7 @@ object GoldenStreams {
       new BasicReduction(k, eps, c.maxL, n),
       new GreedyTracker(k, n),
       new RandomTracker(k, n, seed = 5L),
+      new DimTracker(k, n, beta = 4, seed = 3L),
     )
   }
 
