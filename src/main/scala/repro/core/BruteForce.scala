@@ -9,7 +9,7 @@ object BruteForce {
 
   /** @return (optimal seed set, OPT value) */
   def select(g: Digraph, k: Int): (Seq[Int], Int) = {
-    val nodes = g.nodes.toIndexedSeq
+    val nodes = g.nodeArray.toIndexedSeq
     if (nodes.isEmpty || k <= 0) return (Nil, 0)
     require(
       nodes.length <= 25 || k <= 3,

@@ -17,10 +17,13 @@ object CelfGreedy {
   def select(g: Digraph, k: Int, counter: OracleCounter): (Seq[Int], Int) = {
     if (g.nodeCount == 0 || k <= 0) return (Nil, 0)
 
-    val heap = new Heap(g.nodeCount)
-    g.nodes.foreach { v =>
+    val nodes = g.nodeArray
+    val heap  = new Heap(nodes.length)
+    var i     = 0
+    while (i < nodes.length) { // a while loop: Array.foreach boxes each node
       counter.inc()
-      heap.push(g.spreadOf(v, Int.MinValue), v, 0)
+      heap.push(g.spreadOf(nodes(i), Int.MinValue), nodes(i), 0)
+      i += 1
     }
 
     val seeds   = mutable.ArrayBuffer.empty[Int]
@@ -54,10 +57,11 @@ object CelfGreedy {
     val seeds   = mutable.ArrayBuffer.empty[Int]
     val covered = new JBitSet(g.universe)
     var value   = 0
+    val nodes   = g.nodeArray
     while (seeds.length < k) {
       var bestNode = -1
       var bestGain = 0
-      g.nodes.foreach { v =>
+      nodes.foreach { v =>
         if (!seeds.contains(v)) {
           counter.inc()
           val gain = Digraph.countMissing(g.reachOf(v), covered)

@@ -45,10 +45,7 @@ final class Digraph(val universe: Int) {
   def hasNode(v: Int): Boolean = present.get(v)
 
   /** Nodes present in the graph, ascending. */
-  def nodes: Iterator[Int] =
-    Iterator.unfold(present.nextSetBit(0)) { i =>
-      if (i < 0) None else Some((i, present.nextSetBit(i + 1)))
-    }
+  def nodeArray: Array[Int] = present.stream().toArray
 
   /** Throws IllegalArgumentException unless u and v are in the universe. */
   def checkEdge(u: Int, v: Int): Unit =
@@ -103,24 +100,6 @@ final class Digraph(val universe: Int) {
       if (a.n == 0 && (rev(u) == null || rev(u).n == 0)) present.clear(u)
       if (rev(v).n == 0 && (fwd(v) == null || fwd(v).n == 0)) present.clear(v)
     }
-  }
-
-  /** The edges (u, v) with expiry in [lo, hi), each once. */
-  def edgesExpiringIn(lo: Int, hi: Int): Seq[(Int, Int)] = {
-    val out = Seq.newBuilder[(Int, Int)]
-    var u   = present.nextSetBit(0)
-    while (u >= 0) {
-      val a = fwd(u)
-      if (a != null) {
-        var i = 0
-        while (i < a.n) {
-          if (a.exp(i) >= lo && a.exp(i) < hi) out += ((u, a.to(i)))
-          i += 1
-        }
-      }
-      u = present.nextSetBit(u + 1)
-    }
-    out.result()
   }
 
   def outNeighbors(u: Int): Seq[Int] = { val a = fwd(u); if (a == null) Nil else a.to.take(a.n).toSeq }
@@ -205,17 +184,20 @@ final class Digraph(val universe: Int) {
   /** Set of nodes that can reach `target` (target included) over the edges
     * with expiry ≥ `from`.
     */
-  def reverseReach(target: Int, from: Int = Int.MinValue): JBitSet =
-    reverseReachInto(target, from, new JBitSet(universe))
+  def reverseReach(target: Int, from: Int = Int.MinValue): JBitSet = {
+    reverseReachOf(Iterator.single(target), from)
+    foundInto(new JBitSet(universe))
+  }
 
-  /** Add to `acc` the nodes that can reach `target` (target included) over
-    * the edges with expiry ≥ `from`; returns `acc`.
+  /** Nodes that can reach some node of `targets` (targets included) over the
+    * edges with expiry ≥ `from`, each once, in search order: one search,
+    * however many targets.
     */
-  def reverseReachInto(target: Int, from: Int, acc: JBitSet): JBitSet = {
+  def reverseReachOf(targets: IterableOnce[Int], from: Int): Array[Int] = {
     restart()
-    seed(target)
-    search(rev, from)
-    foundInto(acc)
+    targets.iterator.foreach(seed)
+    val n = search(rev, from)
+    java.util.Arrays.copyOf(found, n)
   }
 
   /** Influence spread of `seeds` over the edges with expiry ≥ `from`:

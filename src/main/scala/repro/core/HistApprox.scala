@@ -13,7 +13,8 @@ import repro.tdn.{Tdn, TimedEdge}
   * instances are keyed by c = t + l and the indices l = c − t shift left by
   * themselves as t advances. Instance creation in the "has successor" case
   * copies the successor's Δ and sieves and back-fills the graph's edges with
-  * expiry in [c, c*) — remaining lifetime in [l, l*).
+  * expiry in [c, c*) — remaining lifetime in [l, l*) — read from the TDN's
+  * expiry index.
   */
 final class HistApprox(
     val k: Int,
@@ -44,8 +45,8 @@ final class HistApprox(
   def valueAt(l: Int): Int = hist(tdn.now + l).currentValue
 
   override def observe(batch: Seq[TimedEdge]): Unit = {
-    tdn.check(batch) // reject a bad batch before its first group changes state
     val capped = batch.map(e => if (e.lifetime > maxLifetime) e.copy(lifetime = maxLifetime) else e)
+    tdn.check(capped) // reject a bad batch before its first group changes state
     // Alg. 3 line 3: process lifetime groups in increasing l.
     capped.groupBy(_.lifetime).toSeq.sortBy(_._1).foreach { case (l, group) =>
       processEdges(tdn.now + l, SieveAdn.addTo(tdn, graph, group))
@@ -65,7 +66,7 @@ final class HistApprox(
       val succ = hist.rangeFrom(c).valuesIterator.nextOption()
       val inst = succ.fold(new SieveAdn(k, eps, counter, graph, c))(_.copyInstance(c))
       val hi   = succ.fold(Int.MaxValue)(_.cutoff)
-      inst.update(graph.edgesExpiringIn(c, hi))
+      inst.update(tdn.edgesExpiringIn(c, hi))
       hist(c) = inst
     }
   }

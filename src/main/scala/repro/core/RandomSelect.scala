@@ -6,7 +6,7 @@ import scala.util.Random
 object RandomSelect {
 
   def select(g: Digraph, k: Int, rng: Random): Seq[Int] = {
-    val nodes = g.nodes.toArray
+    val nodes = g.nodeArray
     if (nodes.length <= k) nodes.toSeq
     else rng.shuffle(nodes.toSeq).take(k)
   }

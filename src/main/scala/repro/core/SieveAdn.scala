@@ -18,7 +18,7 @@ import repro.tdn.{Tdn, TimedEdge}
   * Mechanics per batch Ē_t of edges new to the instance's view:
   *  1. the edges are in the graph (the stand-alone [[process]] inserts them);
   *  2. compute the candidate set V̄_t = nodes whose influence spread changed:
-  *     for each inserted edge (u,v), {v} ∪ reverseReach(u);
+  *     for the inserted edges (u,v), every v and reverseReach(every u);
   *  3. evaluate f({v}) for each candidate (one oracle call each), keeping
   *     reach(v) as a list of nodes, updating
   *     Δ = max singleton spread, and slide the threshold window
@@ -82,15 +82,22 @@ final class SieveAdn private[core] (
 
   /** Candidate set V̄, ascending: for each newly inserted edge (u,v), v plus
     * every node that can reach u (their spread grew). Computed on the
-    * post-insert graph; reverse BFS is bookkeeping, not an oracle call.
+    * post-insert graph by one reverse search from every u; reverse BFS is
+    * bookkeeping, not an oracle call.
     */
   private def candidates(inserted: Seq[(Int, Int)]): Array[Int] = {
-    val acc = new JBitSet(universe)
-    inserted.foreach { case (u, v) =>
-      acc.set(v)
-      graph.reverseReachInto(u, cutoff, acc)
+    val reached = graph.reverseReachOf(inserted.iterator.map(_._1), cutoff)
+    val all     = java.util.Arrays.copyOf(reached, reached.length + inserted.length)
+    var n       = reached.length
+    inserted.foreach { case (_, v) => all(n) = v; n += 1 }
+    java.util.Arrays.sort(all)
+    n = 0
+    var i = 0
+    while (i < all.length) {
+      if (n == 0 || all(n - 1) != all(i)) { all(n) = all(i); n += 1 }
+      i += 1
     }
-    acc.stream().toArray
+    java.util.Arrays.copyOf(all, n)
   }
 
   /** Process one batch of arriving edges into a stand-alone instance's own

@@ -1,6 +1,5 @@
 package repro.tdn
 
-import scala.collection.mutable.ArrayBuffer
 import repro.core.Digraph
 
 /** An interaction edge as it enters the TDN: u influenced v, with the lifetime
@@ -17,6 +16,10 @@ final case class TimedEdge(u: Int, v: Int, lifetime: Int) {
   * lifetime l is alive for t ∈ [τ, τ+l) and its remaining lifetime at time t is
   * `expiry − t`. [[advance]] moves the clock and drops expired edges.
   *
+  * The multiset is kept sorted by expiry, so it is its own expiry index:
+  * [[advance]] drops just the expired prefix, and [[edgesExpiringIn]] walks
+  * just the entries in its range.
+  *
   * From the first [[toDigraph]] call on, the TDN also owns the single live
   * reachability graph of G_t: one edge per alive (u, v), carrying the largest
   * expiry among its interactions. [[add]] raises expiries and [[advance]]
@@ -26,22 +29,35 @@ final case class TimedEdge(u: Int, v: Int, lifetime: Int) {
   * call [[advance]] once per step.
   */
 final class Tdn {
-  private final case class Alive(u: Int, v: Int, expiry: Int)
-
-  private val edges          = new ArrayBuffer[Alive]() // in arrival order
+  // The alive interactions are entries head until end: entry i is the pair
+  // pairs(i) = u << 32 | v expiring at exps(i), ascending by expiry and in
+  // arrival order among equal expiries. Expired entries leave at the front;
+  // an add into full arrays first reclaims the slots before head.
+  private var exps           = new Array[Int](16)
+  private var pairs          = new Array[Long](16)
+  private var head           = 0
+  private var end            = 0
   private var clock          = 0
   private var graph: Digraph = null
+
+  private def srcOf(p: Long): Int = (p >>> 32).toInt
+  private def dstOf(p: Long): Int = p.toInt
 
   /** Current time t. */
   def now: Int = clock
 
   /** Throws IllegalArgumentException unless every node id in `batch` is ≥ 0
-    * and, once the graph exists, below its universe.
+    * and, once the graph exists, below its universe, and every expiry
+    * now + lifetime fits in an Int.
     */
   def check(batch: Iterable[TimedEdge]): Unit = {
     val n = if (graph == null) Int.MaxValue else graph.universe
     batch.foreach { e =>
       require(e.u >= 0 && e.v >= 0 && e.u < n && e.v < n, s"edge (${e.u},${e.v}) outside universe $n")
+      require(
+        e.lifetime <= Int.MaxValue - clock,
+        s"edge (${e.u},${e.v}) with lifetime ${e.lifetime} would expire past Int.MaxValue at now = $clock",
+      )
     }
   }
 
@@ -51,33 +67,106 @@ final class Tdn {
   def add(batch: Iterable[TimedEdge]): Unit = {
     check(batch)
     batch.foreach { e =>
-      val a = Alive(e.u, e.v, clock + e.lifetime)
-      edges += a
-      if (graph != null) graph.addEdge(a.u, a.v, a.expiry)
+      val expiry = clock + e.lifetime
+      insert(e.u.toLong << 32 | e.v, expiry)
+      if (graph != null) graph.addEdge(e.u, e.v, expiry)
     }
+  }
+
+  /** Insert an entry after every entry expiring no later. Full arrays first
+    * reclaim the expired slots before head, or grow by half when that would
+    * free fewer than an eighth of them: reclaiming then copies at most seven
+    * entries per add, and grown arrays hold at most 12/7 of the alive count.
+    */
+  private def insert(p: Long, expiry: Int): Unit = {
+    if (end == exps.length) {
+      val n   = end - head
+      val cap = if (n > exps.length - exps.length / 8) exps.length + exps.length / 2 else exps.length
+      val e   = if (cap == exps.length) exps else new Array[Int](cap)
+      val q   = if (cap == pairs.length) pairs else new Array[Long](cap)
+      System.arraycopy(exps, head, e, 0, n)
+      System.arraycopy(pairs, head, q, 0, n)
+      exps = e; pairs = q; head = 0; end = n
+    }
+    val i = if (expiry == Int.MaxValue) end else firstAtLeast(expiry + 1)
+    System.arraycopy(exps, i, exps, i + 1, end - i)
+    System.arraycopy(pairs, i, pairs, i + 1, end - i)
+    exps(i) = expiry
+    pairs(i) = p
+    end += 1
+  }
+
+  /** The first entry expiring at or after `x`, or `end` if none does. */
+  private def firstAtLeast(x: Int): Int = {
+    var lo = head
+    var hi = end
+    while (lo < hi) {
+      val m = (lo + hi) >>> 1
+      if (exps(m) < x) lo = m + 1 else hi = m
+    }
+    lo
   }
 
   /** Advance the clock one step; edges whose lifetime reached 0 are dropped. */
   def advance(): Unit = {
     clock += 1
-    if (graph != null) edges.foreach(a => if (a.expiry <= clock) graph.expire(a.u, a.v, clock))
-    edges.filterInPlace(_.expiry > clock)
+    while (head < end && exps(head) <= clock) {
+      if (graph != null) graph.expire(srcOf(pairs(head)), dstOf(pairs(head)), clock)
+      head += 1
+    }
   }
 
-  /** Alive edges at the current time, with remaining lifetime (≥ 1). */
-  def aliveEdges: Seq[TimedEdge] = edges.map(a => TimedEdge(a.u, a.v, a.expiry - clock)).toSeq
+  /** Alive edges at the current time, with remaining lifetime (≥ 1), by
+    * ascending remaining lifetime.
+    */
+  def aliveEdges: Seq[TimedEdge] =
+    (head until end).map(i => TimedEdge(srcOf(pairs(i)), dstOf(pairs(i)), exps(i) - clock))
 
   /** Number of alive edges (with multiplicity). */
-  def aliveCount: Int = edges.size
+  def aliveCount: Int = end - head
 
   /** Largest remaining lifetime among alive edges, 0 if empty. */
-  def maxRemainingLifetime: Int = edges.map(_.expiry - clock).maxOption.getOrElse(0)
+  def maxRemainingLifetime: Int = if (end == head) 0 else exps(end - 1) - clock
 
   /** Multiplicity of alive interactions per (u, v) — the `x` that feeds the
     * IC-model diffusion probability p_uv = 2/(1+e^{−0.2x}) − 1 (§V-C).
     */
   def interactionCounts: Map[(Int, Int), Int] =
-    edges.groupBy(a => (a.u, a.v)).view.mapValues(_.size).toMap
+    (head until end).groupBy(i => (srcOf(pairs(i)), dstOf(pairs(i)))).view.mapValues(_.size).toMap
+
+  /** Distinct nodes present in G_t. */
+  def aliveNodes: Set[Int] =
+    (head until end).iterator.flatMap(i => Iterator(srcOf(pairs(i)), dstOf(pairs(i)))).toSet
+
+  /** The edges (u, v) of the live graph whose expiry there — the largest
+    * among their alive interactions — is in [lo, hi), each once, ascending
+    * by (u, v). Walks only the entries expiring in [lo, hi): an entry whose
+    * expiry a later add raised is skipped. Needs the graph ([[toDigraph]]).
+    */
+  def edgesExpiringIn(lo: Int, hi: Int): Seq[(Int, Int)] = {
+    require(graph != null, "edgesExpiringIn needs the live graph: call toDigraph first")
+    val from  = firstAtLeast(lo)
+    var until = from
+    while (until < end && exps(until) < hi) until += 1
+    val found = new Array[Long](until - from)
+    var n     = 0
+    var i     = from
+    while (i < until) {
+      val p = pairs(i)
+      if (graph.expiryOf(srcOf(p), dstOf(p)) == exps(i)) { found(n) = p; n += 1 }
+      i += 1
+    }
+    // Repeats of a pair at its graph expiry all match: sorted, they sit side
+    // by side and are listed once.
+    java.util.Arrays.sort(found, 0, n)
+    val out = Vector.newBuilder[(Int, Int)]
+    i = 0
+    while (i < n) {
+      if (i == 0 || found(i) != found(i - 1)) out += ((srcOf(found(i)), dstOf(found(i))))
+      i += 1
+    }
+    out.result()
+  }
 
   /** G_t as a reachability graph over `universe` node ids. The graph is built
     * on the first call and kept current by [[add]] and [[advance]] after
@@ -87,13 +176,10 @@ final class Tdn {
   def toDigraph(universe: Int): Digraph = {
     if (graph == null) {
       val g = new Digraph(universe)
-      edges.foreach(a => g.addEdge(a.u, a.v, a.expiry))
+      (head until end).foreach(i => g.addEdge(srcOf(pairs(i)), dstOf(pairs(i)), exps(i)))
       graph = g
     }
     require(graph.universe == universe, s"the graph exists over universe ${graph.universe}, not $universe")
     graph
   }
-
-  /** Distinct nodes present in G_t. */
-  def aliveNodes: Set[Int] = edges.iterator.flatMap(a => Iterator(a.u, a.v)).toSet
 }

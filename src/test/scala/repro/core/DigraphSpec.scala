@@ -12,7 +12,7 @@ class DigraphSpec extends AnyFunSuite {
     val g = new Digraph(10)
     assert(g.nodeCount == 0)
     assert(g.edgeCount == 0)
-    assert(g.nodes.isEmpty)
+    assert(g.nodeArray.isEmpty)
   }
 
   test("addEdge inserts a directed edge and registers both endpoints") {
@@ -53,10 +53,10 @@ class DigraphSpec extends AnyFunSuite {
     assert(g.outNeighbors(1).isEmpty)
   }
 
-  test("nodes iterates present nodes ascending") {
+  test("nodeArray lists present nodes ascending") {
     val g = new Digraph(10)
     g.addEdge(7, 2); g.addEdge(5, 7)
-    assert(g.nodes.toSeq == Seq(2, 5, 7))
+    assert(g.nodeArray.toSeq == Seq(2, 5, 7))
   }
 
   test("reach on a chain includes all downstream nodes and the seed") {
@@ -146,26 +146,12 @@ class DigraphSpec extends AnyFunSuite {
     g.expire(1, 2, now = 2)
     assert(g.hasEdge(0, 1) && !g.hasEdge(1, 2))
     assert(g.edgeCount == 2)
-    assert(g.nodes.toSeq == Seq(0, 1, 3, 4) && g.nodeCount == 4)
+    assert(g.nodeArray.toSeq == Seq(0, 1, 3, 4) && g.nodeCount == 4)
     assert(g.inNeighbors(2).isEmpty && g.outNeighbors(1).isEmpty)
     g.expire(3, 4, now = 3)
     g.expire(0, 1, now = 4)
-    assert(g.edgeCount == 0 && g.nodeCount == 0 && g.nodes.isEmpty)
+    assert(g.edgeCount == 0 && g.nodeCount == 0 && g.nodeArray.isEmpty)
     assert(g.spreadOf(Seq(0)) == 1)
-  }
-
-  test("edgesExpiringIn lists each edge once by its largest expiry in [lo, hi), without expired edges") {
-    val g = new Digraph(6)
-    g.addEdge(0, 1, expiry = 2)
-    g.addEdge(1, 2, expiry = 3)
-    g.addEdge(2, 3, expiry = 5)
-    g.addEdge(0, 1, expiry = 4) // a later copy raises (0, 1) to 4
-    g.addEdge(3, 4, expiry = 1)
-    g.expire(3, 4, now = 1)
-    assert(g.edgesExpiringIn(3, 5).sorted == Seq((0, 1), (1, 2)))
-    assert(g.edgesExpiringIn(2, 3).isEmpty)
-    assert(g.edgesExpiringIn(5, 6) == Seq((2, 3)))
-    assert(g.edgesExpiringIn(Int.MinValue, Int.MaxValue).sorted == Seq((0, 1), (1, 2), (2, 3)))
   }
 
   test("reachOf on a fresh graph returns every reached node even when the search grows the scratch") {
@@ -182,7 +168,7 @@ class DigraphSpec extends AnyFunSuite {
       7  -> (_.reachOf(7)),
       5  -> (_.spreadOf(5, 0)),
       4  -> (_.reverseReach(4)),
-      9  -> (_.reverseReachInto(9, Int.MinValue, new JBitSet)),
+      9  -> (_.reverseReachOf(Seq(0, 9), Int.MinValue)),
     )
     bad.foreach { case (seed, search) =>
       val e = intercept[IllegalArgumentException](search(g))
@@ -192,9 +178,10 @@ class DigraphSpec extends AnyFunSuite {
   }
 
   test("searches reusing the scratch agree with a fresh naive BFS while edges come and go") {
+    var mostReached = 0 // the scratch starts at 64 nodes: some searches must grow it
     for (seed <- 0L until 25L) {
       val rng   = new Random(seed)
-      val n     = 2 + rng.nextInt(90)
+      val n     = 2 + rng.nextInt(160)
       val g     = new Digraph(n)
       val model = mutable.Map.empty[(Int, Int), Int] // edge -> expiry
       def naive(seeds: Seq[Int], from: Int, reverse: Boolean): Set[Int] = {
@@ -202,45 +189,49 @@ class DigraphSpec extends AnyFunSuite {
         TestData.referenceReach(live, seeds)
       }
       def members(b: JBitSet): Set[Int] = b.stream().toArray.toSet
-      for (op <- 0 until 400) {
+      for (op <- 0 until 600) {
         val u    = rng.nextInt(n)
-        val from = rng.nextInt(12)
+        val from = rng.nextInt(16) - 4
         val ctx  = s"seed=$seed op=$op u=$u from=$from"
-        rng.nextInt(9) match {
-          case 0 | 1 =>
+        rng.nextInt(10) match {
+          case 0 | 1 | 2 =>
             val v = rng.nextInt(n)
             val e = rng.nextInt(12)
             g.addEdge(u, v, e)
             if (u != v) model((u, v)) = math.max(model.getOrElse((u, v), e), e)
-          case 2 =>
+          case 3 =>
             if (model.nonEmpty) {
               val (a, b) = model.keys.toIndexedSeq(rng.nextInt(model.size))
               val now    = rng.nextInt(12)
               g.expire(a, b, now)
               if (model((a, b)) <= now) model -= ((a, b))
             }
-          case 3 =>
+          case 4 =>
             val r = g.reachOf(u, from)
             assert(r.head == u && r.distinct.length == r.length, ctx)
             assert(r.toSet == naive(Seq(u), from, reverse = false), ctx)
-          case 4 =>
+            mostReached = math.max(mostReached, r.length)
+          case 5 =>
             val seeds = Seq.fill(1 + rng.nextInt(3))(rng.nextInt(n))
             assert(g.spreadOf(seeds, from) == naive(seeds, from, reverse = false).size, ctx)
             assert(g.spreadOf(u, from) == naive(Seq(u), from, reverse = false).size, ctx)
-          case 5 =>
+          case 6 =>
             val seeds = Seq.fill(1 + rng.nextInt(3))(rng.nextInt(n))
             assert(members(g.reach(seeds, from)) == naive(seeds, from, reverse = false), ctx)
-          case 6 =>
+          case 7 =>
             assert(members(g.reverseReach(u, from)) == naive(Seq(u), from, reverse = true), ctx)
           case _ =>
-            val acc = new JBitSet
-            val pre = rng.nextInt(n)
-            acc.set(pre)
-            g.reverseReachInto(u, from, acc)
-            assert(members(acc) == naive(Seq(u), from, reverse = true) + pre, ctx)
+            // One multi-target search equals the union of single searches.
+            val targets = Seq.fill(1 + rng.nextInt(4))(rng.nextInt(n))
+            val r       = g.reverseReachOf(targets, from)
+            assert(r.distinct.length == r.length, ctx)
+            assert(r.toSet == targets.map(t => naive(Seq(t), from, reverse = true)).reduce(_ | _), ctx)
+            assert(r.toSet == targets.map(t => members(g.reverseReach(t, from))).reduce(_ | _), ctx)
+            mostReached = math.max(mostReached, r.length)
         }
         assert(g.edgeCount == model.size, ctx)
       }
     }
+    assert(mostReached > 64, s"the largest search reached only $mostReached nodes")
   }
 }

@@ -73,7 +73,7 @@ class WindowedInfluenceSpec extends SparkSpec {
       if (step < t) tdn.advance()
     }
     val g         = tdn.toDigraph(spec.universe)
-    val bestGraph = g.nodes.map(v => g.spreadOf(Seq(v))).max
+    val bestGraph = g.nodeArray.map(v => g.spreadOf(Seq(v))).max
 
     // SQL path: top-1 direct influence + 1 (the source itself).
     val bestSql = WindowedInfluence.topK(df, t, w, 1).collect()(0).getLong(1) + 1

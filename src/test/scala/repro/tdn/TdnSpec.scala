@@ -1,5 +1,7 @@
 package repro.tdn
 
+import scala.collection.mutable
+import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
 
 class TdnSpec extends AnyFunSuite {
@@ -120,7 +122,7 @@ class TdnSpec extends AnyFunSuite {
     tdn.advance() // (1, 2) expires; (0, 1) is still held by its later copy
     assert(tdn.toDigraph(5) eq g)
     assert(g.hasEdge(0, 1) && !g.hasEdge(1, 2))
-    assert(g.nodes.toSeq == Seq(0, 1, 2, 3))
+    assert(g.nodeArray.toSeq == Seq(0, 1, 2, 3))
     tdn.advance(); tdn.advance()
     assert(g.edgeCount == 0 && g.nodeCount == 0)
   }
@@ -139,5 +141,84 @@ class TdnSpec extends AnyFunSuite {
     val g = tdn.toDigraph(4)
     intercept[IllegalArgumentException](tdn.add(Seq(TimedEdge(2, 3, 1), TimedEdge(1, 4, 1))))
     assert(tdn.aliveCount == 1 && g.edgeCount == 1)
+  }
+
+  test("an edge whose expiry would overflow is rejected, naming it") {
+    val tdn = new Tdn
+    tdn.add(Seq(TimedEdge(0, 1, 2)))
+    tdn.advance()
+    val e = intercept[IllegalArgumentException](tdn.add(Seq(TimedEdge(2, 3, 1), TimedEdge(4, 5, Int.MaxValue))))
+    assert(e.getMessage.contains("edge (4,5)") && e.getMessage.contains("now = 1"), e.getMessage)
+    assert(tdn.aliveEdges == Seq(TimedEdge(0, 1, 1)))
+    tdn.add(Seq(TimedEdge(4, 5, Int.MaxValue - 1))) // expires at Int.MaxValue exactly
+    tdn.advance()
+    assert(tdn.aliveEdges == Seq(TimedEdge(4, 5, Int.MaxValue - 2)))
+  }
+
+  test("edgesExpiringIn lists each alive edge once, at its expiry") {
+    val tdn = new Tdn
+    tdn.add(
+      Seq(
+        TimedEdge(0, 1, 2),
+        TimedEdge(1, 2, 3),
+        TimedEdge(2, 3, 5),
+        TimedEdge(0, 1, 4), // a later copy raises (0, 1) to 4
+        TimedEdge(3, 4, 1),
+        TimedEdge(2, 3, 5), // a repeat at the same expiry
+        TimedEdge(5, 5, 3), // a self-loop: not in the graph
+      )
+    )
+    tdn.toDigraph(6)
+    tdn.advance() // (3, 4) expires
+    assert(tdn.edgesExpiringIn(3, 5) == Seq((0, 1), (1, 2)))
+    assert(tdn.edgesExpiringIn(2, 3).isEmpty)
+    assert(tdn.edgesExpiringIn(5, 6) == Seq((2, 3)))
+    assert(tdn.edgesExpiringIn(Int.MinValue, Int.MaxValue) == Seq((0, 1), (1, 2), (2, 3)))
+    intercept[IllegalArgumentException](new Tdn().edgesExpiringIn(0, 1))
+  }
+
+  test("the expiry index agrees with a naive multiset through adds and advances") {
+    for (seed <- 0L until 40L) {
+      val rng   = new Random(seed)
+      val n     = 2 + rng.nextInt(10)
+      val tdn   = new Tdn
+      val model = mutable.ArrayBuffer.empty[(Int, Int, Int)] // (u, v, expiry)
+      val built = rng.nextInt(20) // the graph is built from the entries at this step
+      for (t <- 0 until 60) {
+        val ctx = s"seed=$seed t=$t"
+        if (t == built) tdn.toDigraph(n)
+        val batch = if (rng.nextInt(4) == 0) Nil else Seq.fill(1 + rng.nextInt(5)) {
+          val u = rng.nextInt(n)
+          TimedEdge(u, if (rng.nextInt(8) == 0) u else rng.nextInt(n), 1 + rng.nextInt(12))
+        }
+        tdn.add(batch)
+        batch.foreach(e => model += ((e.u, e.v, t + e.lifetime)))
+
+        val remaining = model.map { case (u, v, x) => TimedEdge(u, v, x - t) }
+        val ordered   = tdn.aliveEdges
+        assert(tdn.aliveCount == model.size, ctx)
+        assert(ordered.sortBy(e => (e.u, e.v, e.lifetime)) == remaining.sortBy(e => (e.u, e.v, e.lifetime)), ctx)
+        assert(ordered.map(_.lifetime) == ordered.map(_.lifetime).sorted, ctx)
+        assert(tdn.maxRemainingLifetime == remaining.map(_.lifetime).maxOption.getOrElse(0), ctx)
+        assert(tdn.interactionCounts == model.groupBy(e => (e._1, e._2)).view.mapValues(_.size).toMap, ctx)
+        assert(tdn.aliveNodes == model.flatMap(e => Seq(e._1, e._2)).toSet, ctx)
+
+        if (t >= built) {
+          val g      = tdn.toDigraph(n)
+          val expiry = model.filter(e => e._1 != e._2).groupBy(e => (e._1, e._2)).view.mapValues(_.map(_._3).max).toMap
+          assert(g.edgeCount == expiry.size, ctx)
+          expiry.foreach { case ((u, v), x) => assert(g.expiryOf(u, v) == x, s"$ctx ($u,$v)") }
+          for (_ <- 0 until 4) {
+            val lo = t - 2 + rng.nextInt(16)
+            val hi = lo + rng.nextInt(8)
+            val want = expiry.toSeq.collect { case (p, x) if x >= lo && x < hi => p }.sorted
+            assert(tdn.edgesExpiringIn(lo, hi) == want, s"$ctx [$lo, $hi)")
+          }
+        }
+
+        tdn.advance()
+        model.filterInPlace(_._3 > t + 1)
+      }
+    }
   }
 }
