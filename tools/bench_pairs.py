@@ -14,8 +14,9 @@ statistics to BENCH_perfbench.json at the repository root.
 With --claim, also applies the claim protocol to that metric: the head must
 win at least 9 of 10 pairs (rounded up for other pair counts) and its median
 must beat the base's by more than the base's quartile spread. The verdict is
-printed and recorded; the exit code is 1 if a run fails or the claim does not
-hold.
+printed and recorded, and the exit code is 1 if the claim does not hold. A
+run that fails (a build error, a failed check or a failed step) stops the
+script before anything is recorded.
 """
 
 import argparse
@@ -63,8 +64,8 @@ def run(tree, workload, seed, seconds, log):
     log.write(proc.stderr)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"perfbench failed in {tree} (exit {proc.returncode}); see {log.name}")
-    return json.loads(lines[-1])
+        sys.exit(f"bench_pairs: perfbench failed in {tree} (exit {proc.returncode}); see {log.name}")
+    return json.loads(lines[-1])["metrics"]
 
 
 def cpu_model():
@@ -107,7 +108,6 @@ def main():
         return f"bench_pairs: {a.claim} is not an end-to-end metric"
 
     results = {"base": [], "head": []}
-    failed = {"base": 0, "head": 0}
     logs = WORK / "logs"
     logs.mkdir(parents=True, exist_ok=True)
     for i in range(a.pairs):
@@ -116,10 +116,9 @@ def main():
             log_path = logs / f"{a.workload}-seed{a.seed}-pair{i}-{side}.log"
             with open(log_path, "w") as log:
                 res = run(trees[side], a.workload, a.seed, a.seconds, log)
-            failed[side] += res["failed"]
-            results[side].append(res["metrics"])
+            results[side].append(res)
             print(f"pair {i + 1}/{a.pairs} {side}: "
-                  + " ".join(f"{k}={v['value']:.4g}" for k, v in res["metrics"].items()), flush=True)
+                  + " ".join(f"{k}={v['value']:.4g}" for k, v in res.items()), flush=True)
 
     rows = {}
     print(f"\n{'metric':<20} {'base median [q1, q3]':>32} {'head median [q1, q3]':>32}  wins")
@@ -150,11 +149,11 @@ def main():
         "base": base, "head": head, "workload": a.workload, "seed": a.seed, "pairs": a.pairs,
         "seconds": a.seconds, "cpus": os.cpu_count(), "cpu": cpu_model(),
         "date": datetime.now(timezone.utc).strftime("%Y-%m-%d"),
-        "failed": failed, "claim": verdict, "metrics": rows,
+        "claim": verdict, "metrics": rows,
     })
     LEDGER.write_text(json.dumps(ledger, indent=1) + "\n")
     print(f"appended a row to {LEDGER.name}")
-    return 0 if not any(failed.values()) and (verdict is None or verdict["holds"]) else 1
+    return 0 if verdict is None or verdict["holds"] else 1
 
 
 if __name__ == "__main__":
