@@ -10,11 +10,13 @@ import repro.tdn.{Tdn, TimedEdge}
   *
   * The tracker owns the TDN G_t, and its one live graph is shared by every
   * instance: an instance is a cutoff c over that graph (see [[SieveAdn]]), so
-  * instances are keyed by c = t + l and the indices l = c − t shift left by
+  * instances are ordered by c = t + l and the indices l = c − t shift left by
   * themselves as t advances. Instance creation in the "has successor" case
   * copies the successor's Δ and sieves and back-fills the graph's edges with
   * expiry in [c, c*) — remaining lifetime in [l, l*) — read from the TDN's
-  * expiry index.
+  * expiry index. A creation that the group's ReduceRedundancy would undo
+  * whatever its output (see [[HistApprox.doomed]]) is skipped, which leaves
+  * x_t and every output unchanged and saves its back-fill's oracle calls.
   */
 final class HistApprox(
     val k: Int,
@@ -27,67 +29,75 @@ final class HistApprox(
 
   private val tdn   = new Tdn
   private val graph = tdn.toDigraph(universe)
-  // Active instances keyed by cutoff: keys ascending = x_1 < x_2 < ...
-  private val hist = mutable.TreeMap.empty[Int, SieveAdn]
+  // Active instances ascending by cutoff: x_1 < x_2 < ...
+  private val insts = mutable.ArrayBuffer.empty[SieveAdn]
 
   override def name: String = "HistApprox"
 
   /** Active index set x_t, ascending. */
-  def indices: Seq[Int] = hist.keys.toSeq.map(_ - tdn.now)
+  def indices: Seq[Int] = insts.map(_.cutoff - tdn.now).toSeq
 
   /** Number of live SieveADN instances |x_t|. */
-  def activeInstances: Int = hist.size
+  def activeInstances: Int = insts.length
 
   /** The TDN state (exposed for tests and fair cross-algorithm evaluation). */
   def currentTdn: Tdn = tdn
 
   /** g_t(l) for an active index l. */
-  def valueAt(l: Int): Int = hist(tdn.now + l).currentValue
+  def valueAt(l: Int): Int = insts.find(_.cutoff == tdn.now + l).get.currentValue
 
   override def observe(batch: Seq[TimedEdge]): Unit = {
     val capped = batch.map(e => if (e.lifetime > maxLifetime) e.copy(lifetime = maxLifetime) else e)
     tdn.check(capped) // reject a bad batch before its first group changes state
     // Alg. 3 line 3: process lifetime groups in increasing l.
     capped.groupBy(_.lifetime).toSeq.sortBy(_._1).foreach { case (l, group) =>
-      processEdges(tdn.now + l, SieveAdn.addTo(tdn, graph, group))
-      reduceRedundancy()
+      reduceRedundancy(processEdges(tdn.now + l, SieveAdn.addTo(tdn, graph, group)))
     }
   }
 
-  /** Alg. 3 ProcessEdges(Ē_l) for a group with expiry c, already in G_t. */
-  private def processEdges(c: Int, arrivals: Seq[SieveAdn.Arrival]): Unit = {
+  /** Alg. 3 ProcessEdges(Ē_l) for a group with expiry c, already in G_t.
+    * Returns every live instance's output, in index order, for
+    * ReduceRedundancy.
+    */
+  private def processEdges(c: Int, arrivals: Seq[SieveAdn.Arrival]): Array[Int] = {
+    var p = 0 // instances before p have cutoff < c
+    while (p < insts.length && insts(p).cutoff < c) p += 1
+    val exists = p < insts.length && insts(p).cutoff == c
     // Alg. 3 line 17: feed every active instance with index ≤ l.
-    hist.rangeTo(c).valuesIterator.foreach(_.feed(arrivals))
-    if (!hist.contains(c)) {
-      // Fig. 6(c): copy the successor at c*; Fig. 6(b): with none, start
-      // empty with c* = ∞ (no alive edge has expiry ≥ c, a tested
-      // invariant). Either way, back-fill the alive edges the instance has
-      // not seen, the group included: graph expiry in [c, c*).
-      val succ = hist.rangeFrom(c).valuesIterator.nextOption()
-      val inst = succ.fold(new SieveAdn(k, eps, counter, graph, c))(_.copyInstance(c))
-      val hi   = succ.fold(Int.MaxValue)(_.cutoff)
-      inst.update(tdn.edgesExpiringIn(c, hi))
-      hist(c) = inst
-    }
+    var i = 0
+    while (i < (if (exists) p + 1 else p)) { insts(i).feed(arrivals); i += 1 }
+    val g = new Array[Int](insts.length)
+    i = 0
+    while (i < g.length) { g(i) = insts(i).currentValue; i += 1 }
+    if (exists || HistApprox.doomed(g, p, eps)) return g
+    // Fig. 6(c): copy the successor at c*; Fig. 6(b): with none, start empty
+    // with c* = ∞ (no alive edge has expiry ≥ c, a tested invariant). Either
+    // way, back-fill the alive edges the instance has not seen, the group
+    // included: graph expiry in [c, c*).
+    val succ = insts.lift(p)
+    val inst = succ.fold(new SieveAdn(k, eps, counter, graph, c))(_.copyInstance(c))
+    inst.update(tdn.edgesExpiringIn(c, succ.fold(Int.MaxValue)(_.cutoff)))
+    insts.insert(p, inst)
+    val withNew = new Array[Int](g.length + 1)
+    System.arraycopy(g, 0, withNew, 0, p)
+    withNew(p) = inst.currentValue
+    System.arraycopy(g, p, withNew, p + 1, g.length - p)
+    withNew
   }
 
-  /** Alg. 3 ReduceRedundancy over one snapshot of the instances' outputs. */
-  private def reduceRedundancy(): Unit = {
-    val keys   = hist.keysIterator.toArray
-    val values = hist.valuesIterator.map(_.currentValue).toArray
-    HistApprox.redundant(values, eps).foreach(p => hist.remove(keys(p)))
-  }
+  /** Alg. 3 ReduceRedundancy over one snapshot `g` of the instances' outputs. */
+  private def reduceRedundancy(g: Array[Int]): Unit =
+    HistApprox.redundant(g, eps).reverseIterator.foreach(p => insts.remove(p))
 
-  override def querySolution: Seq[Int] =
-    hist.headOption.map(_._2.solution).getOrElse(Nil)
+  override def querySolution: Seq[Int] = insts.headOption.map(_.solution).getOrElse(Nil)
 
   /** g_t(x_1): value of the output instance. */
-  def currentValue: Int = hist.headOption.map(_._2.currentValue).getOrElse(0)
+  def currentValue: Int = insts.headOption.map(_.currentValue).getOrElse(0)
 
   override def endStep(): Unit = {
     // Alg. 3 lines 5–7: terminate A_1 if x_1 = 1; the other indices shift
     // left as the clock advances under their fixed cutoffs.
-    hist.remove(tdn.now + 1)
+    if (insts.nonEmpty && insts.head.cutoff == tdn.now + 1) insts.remove(0)
     tdn.advance()
   }
 
@@ -112,5 +122,19 @@ object HistApprox {
       i = math.max(j, i + 1)
     }
     dead.result()
+  }
+
+  /** Whether ReduceRedundancy must kill a new instance inserted at position
+    * p of the outputs g (the live instances', after the group's feed),
+    * whatever its own output: it is not x_1 (p > 0), and some instance after
+    * it has g ≥ (1−ε)·g(x_1), so the first segment's survivor j lies past it.
+    * Later segments are not checked: there the new instance can itself be
+    * an earlier survivor's j.
+    */
+  private[core] def doomed(g: Array[Int], p: Int, eps: Double): Boolean = {
+    if (p == 0) return false
+    var j = g.length - 1
+    while (j >= p && g(j) < (1.0 - eps) * g(0)) j -= 1
+    j >= p
   }
 }

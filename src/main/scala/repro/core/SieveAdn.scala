@@ -80,18 +80,17 @@ final class SieveAdn private[core] (
     }
   }
 
-  /** Candidate set V̄, ascending: for each newly inserted edge (u,v), v plus
-    * every node that can reach u (their spread grew). Computed on the
-    * post-insert graph by one reverse search from every u; reverse BFS is
-    * bookkeeping, not an oracle call.
+  /** Candidate set V̄, ascending: for each newly inserted edge (us(e), vs(e)),
+    * the head plus every node that can reach the tail (their spread grew).
+    * Computed on the post-insert graph by one reverse search from every tail;
+    * reverse BFS is bookkeeping, not an oracle call.
     */
-  private def candidates(inserted: Seq[(Int, Int)]): Array[Int] = {
-    val reached = graph.reverseReachOf(inserted.iterator.map(_._1), cutoff)
-    val all     = java.util.Arrays.copyOf(reached, reached.length + inserted.length)
-    var n       = reached.length
-    inserted.foreach { case (_, v) => all(n) = v; n += 1 }
+  private def candidates(us: Array[Int], vs: Array[Int]): Array[Int] = {
+    val reached = graph.reverseReachOf(us, cutoff)
+    val all     = java.util.Arrays.copyOf(reached, reached.length + vs.length)
+    System.arraycopy(vs, 0, all, reached.length, vs.length)
     java.util.Arrays.sort(all)
-    n = 0
+    var n = 0
     var i = 0
     while (i < all.length) {
       if (n == 0 || all(n - 1) != all(i)) { all(n) = all(i); n += 1 }
@@ -113,16 +112,28 @@ final class SieveAdn private[core] (
   /** Feed the edges of a batch just added to the shared graph that this
     * instance has not seen and now sees.
     */
-  private[core] def feed(arrivals: Seq[SieveAdn.Arrival]): Unit =
-    update(arrivals.collect { case a if a.before < cutoff && cutoff <= a.after => (a.u, a.v) })
+  private[core] def feed(arrivals: Seq[SieveAdn.Arrival]): Unit = {
+    var n = 0
+    arrivals.foreach(a => if (a.before < cutoff && cutoff <= a.after) n += 1)
+    if (n == 0) return
+    val us = new Array[Int](n)
+    val vs = new Array[Int](n)
+    n = 0
+    arrivals.foreach { a =>
+      if (a.before < cutoff && cutoff <= a.after) { us(n) = a.u; vs(n) = a.v; n += 1 }
+    }
+    update(us, vs)
+  }
 
   /** Steps 2–5 for `inserted`: distinct edges, without self-loops, that are
     * in the graph with expiry ≥ `cutoff` and were not visible before.
     */
-  private[core] def update(inserted: Seq[(Int, Int)]): Unit = {
-    if (inserted.isEmpty) return
+  private[core] def update(inserted: Seq[(Int, Int)]): Unit =
+    if (inserted.nonEmpty) update(inserted.iterator.map(_._1).toArray, inserted.iterator.map(_._2).toArray)
 
-    val cand = candidates(inserted)
+  /** [[update]] over the inserted edges (us(e), vs(e)), e ascending. */
+  private def update(us: Array[Int], vs: Array[Int]): Unit = {
+    val cand = candidates(us, vs)
 
     // Δ update (Alg. 1 line 4) — f({v}) for each candidate, one call each;
     // the reach-sets, parallel to `cand`, are retained for the incremental
@@ -145,13 +156,22 @@ final class SieveAdn private[core] (
     // adds nothing the sweep misses: v was either added with a complete
     // reach-set holding reach(v), or was in the old reach(S), where the
     // first inserted edge on each of v's new paths is swept in its turn.
-    // Set algebra only, no oracle calls.
-    sieves.foreach { s =>
+    // Set algebra only, no oracle calls. Each v's reach-set is looked up in
+    // `cand` once per update, not once per sieve.
+    val vReach = new Array[Array[Int]](vs.length)
+    var e      = 0
+    while (e < vs.length) { vReach(e) = candReach(java.util.Arrays.binarySearch(cand, vs(e))); e += 1 }
+    var j = 0
+    while (j < sieves.length) {
+      val s = sieves(j)
       if (s.size > 0) {
-        inserted.foreach { case (u, v) =>
-          if (s.reach.get(u) && !s.reach.get(v)) s.add(candReach(java.util.Arrays.binarySearch(cand, v)))
+        e = 0
+        while (e < us.length) {
+          if (s.reach.get(us(e)) && !s.reach.get(vs(e))) s.add(vReach(e))
+          e += 1
         }
       }
+      j += 1
     }
 
     // Sieving pass (Alg. 1 lines 8–11): one oracle call per marginal gain,
@@ -180,7 +200,12 @@ final class SieveAdn private[core] (
   /** g = f(S_{θ*}): value of the best sieve set (Alg. 1 line 12). Cached
     * values are maintained exactly, so this is free of oracle calls.
     */
-  def currentValue: Int = sieves.foldLeft(0)((best, s) => math.max(best, s.value))
+  def currentValue: Int = {
+    var best = 0
+    var j    = 0
+    while (j < sieves.length) { if (sieves(j).value > best) best = sieves(j).value; j += 1 }
+    best
+  }
 
   /** The best sieve set S_{θ*}; ties go to the lowest θ. */
   def solution: Seq[Int] =

@@ -142,6 +142,28 @@ class HistApproxSpec extends AnyFunSuite {
     assert(h.indices == Seq(2, 4, 6))
   }
 
+  test("a creation the skip rule drops is one ReduceRedundancy kills, whatever its output") {
+    // Outputs g of the live instances, every position p a new instance can
+    // be inserted at and every output 0..max+1 it can have: where the rule
+    // skips it, ReduceRedundancy over g with it inserted kills position p.
+    val rng   = new scala.util.Random(17L)
+    var fired = 0
+    for (_ <- 0 until 3000) {
+      val g   = Array.fill(rng.nextInt(8))(rng.nextInt(12))
+      val eps = Seq(0.1, 0.2, 0.3, 0.5)(rng.nextInt(4))
+      // Never at x_1's position: that instance is the tracker's output.
+      assert(!HistApprox.doomed(g, 0, eps))
+      for (p <- 0 to g.length; v <- 0 to g.maxOption.getOrElse(0) + 1) {
+        if (HistApprox.doomed(g, p, eps)) {
+          fired += 1
+          val withNew = (g.take(p) :+ v) ++ g.drop(p)
+          assert(HistApprox.redundant(withNew, eps).contains(p), s"g=${g.toSeq} p=$p v=$v eps=$eps")
+        }
+      }
+    }
+    assert(fired > 1000)
+  }
+
   test("number of active instances stays far below L on long-lifetime streams") {
     val l      = 200
     val stream = TestData.randomTimedStream(20, steps = 60, perStep = 3, maxL = l, seed = 12L)

@@ -10,7 +10,10 @@ import repro.stream.GoldenStreams.Case
   * cumulative oracle calls recorded in `golden-steps.tsv` before the trackers
   * moved to one shared expiry-annotated graph. Greedy's rows were re-recorded
   * once CELF stopped adding a zero-gain seed: each only lost trailing seeds,
-  * with value and cumulative calls unchanged.
+  * with value and cumulative calls unchanged. HistApprox's rows were
+  * re-recorded once it stopped creating instances that ReduceRedundancy kills
+  * in the same pass: each keeps t, seeds and value, and its cumulative calls
+  * are at most the old ones (checked by `tools/check_golden.py`).
   */
 class GoldenStepSpec extends AnyFunSuite {
 
