@@ -64,8 +64,9 @@ final class HistApprox(
     while (p < insts.length && insts(p).cutoff < c) p += 1
     val exists = p < insts.length && insts(p).cutoff == c
     // Alg. 3 line 17: feed every active instance with index ≤ l.
-    var i = 0
-    while (i < (if (exists) p + 1 else p)) { insts(i).feed(arrivals); i += 1 }
+    val fed = if (exists) p + 1 else p
+    var i   = 0
+    while (i < fed) { insts(i).feed(arrivals); i += 1 }
     val g = new Array[Int](insts.length)
     i = 0
     while (i < g.length) { g(i) = insts(i).currentValue; i += 1 }

@@ -113,16 +113,15 @@ final class SieveAdn private[core] (
     * instance has not seen and now sees.
     */
   private[core] def feed(arrivals: Seq[SieveAdn.Arrival]): Unit = {
-    var n = 0
-    arrivals.foreach(a => if (a.before < cutoff && cutoff <= a.after) n += 1)
-    if (n == 0) return
-    val us = new Array[Int](n)
-    val vs = new Array[Int](n)
-    n = 0
-    arrivals.foreach { a =>
-      if (a.before < cutoff && cutoff <= a.after) { us(n) = a.u; vs(n) = a.v; n += 1 }
+    def sees(a: SieveAdn.Arrival) = a.before < cutoff && cutoff <= a.after
+    val n = arrivals.count(sees)
+    if (n > 0) {
+      val us = new Array[Int](n)
+      val vs = new Array[Int](n)
+      var e  = 0
+      arrivals.foreach(a => if (sees(a)) { us(e) = a.u; vs(e) = a.v; e += 1 })
+      update(us, vs)
     }
-    update(us, vs)
   }
 
   /** Steps 2–5 for `inserted`: distinct edges, without self-loops, that are
