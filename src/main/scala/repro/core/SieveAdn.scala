@@ -280,17 +280,21 @@ object SieveAdn {
       g >= need
     }
 
-    /** reach(S) ∪= r, keeping `value` exact. */
-    def add(r: Array[Int]): Unit = value += Digraph.addAll(r, reach)
-
-    /** Take v, with reach-set r, into S. The reach set is re-trimmed, since
-      * in-place adds grow its words by doubling.
+    /** reach(S) ∪= r, keeping `value` exact. A union that grows the bitset
+      * is re-trimmed (`clone` trims), since in-place growth doubles its
+      * words; so the words always end at the highest node reached.
       */
+    def add(r: Array[Int]): Unit = {
+      val bits = reach.size
+      value += Digraph.addAll(r, reach)
+      if (reach.size != bits) reach = reach.clone().asInstanceOf[JBitSet]
+    }
+
+    /** Take v, with reach-set r, into S. */
     def accept(v: Int, r: Array[Int]): Unit = {
       members(size) = v
       size += 1
       add(r)
-      reach = reach.clone().asInstanceOf[JBitSet]
     }
 
     def copySieve(): Sieve = {
