@@ -41,9 +41,6 @@ final class Digraph(val universe: Int) {
   /** Number of nodes that appear as an endpoint of at least one edge. */
   def nodeCount: Int = present.cardinality()
 
-  /** True iff `v` appears as an endpoint of some edge. */
-  def hasNode(v: Int): Boolean = present.get(v)
-
   /** Nodes present in the graph, ascending. */
   def nodeArray: Array[Int] = present.stream().toArray
 
@@ -57,8 +54,6 @@ final class Digraph(val universe: Int) {
     val i = if (a == null) -1 else a.indexOf(v)
     if (i < 0) Int.MinValue else a.exp(i)
   }
-
-  def hasEdge(u: Int, v: Int): Boolean = expiryOf(u, v) != Int.MinValue
 
   /** Insert edge u→v expiring at `expiry`, or raise an existing edge's expiry
     * to it; self-loops are ignored.
@@ -101,9 +96,6 @@ final class Digraph(val universe: Int) {
       if (rev(v).n == 0 && (fwd(v) == null || fwd(v).n == 0)) present.clear(v)
     }
   }
-
-  def outNeighbors(u: Int): Seq[Int] = { val a = fwd(u); if (a == null) Nil else a.to.take(a.n).toSeq }
-  def inNeighbors(v: Int): Seq[Int]  = { val a = rev(v); if (a == null) Nil else a.to.take(a.n).toSeq }
 
   // Search scratch, reused by every search: `seen` holds one bit per node of
   // the universe, and found(0 until nFound) lists the nodes the last search
@@ -158,35 +150,12 @@ final class Digraph(val universe: Int) {
     nFound
   }
 
-  /** Add the last search's nodes to `acc`; returns `acc`. */
-  private def foundInto(acc: JBitSet): JBitSet = {
-    var i = 0
-    while (i < nFound) { acc.set(found(i)); i += 1 }
-    acc
-  }
-
   /** Nodes reachable from `v` (v first) over the edges with expiry ≥ `from`. */
   def reachOf(v: Int, from: Int = Int.MinValue): Array[Int] = {
     restart()
     seed(v)
     val n = search(fwd, from) // may grow `found`: read it only afterwards
     java.util.Arrays.copyOf(found, n)
-  }
-
-  /** Set of nodes reachable from `seeds` (seeds included) over the edges with
-    * expiry ≥ `from`.
-    */
-  def reach(seeds: IterableOnce[Int], from: Int = Int.MinValue): JBitSet = {
-    spreadOf(seeds, from)
-    foundInto(new JBitSet(universe))
-  }
-
-  /** Set of nodes that can reach `target` (target included) over the edges
-    * with expiry ≥ `from`.
-    */
-  def reverseReach(target: Int, from: Int = Int.MinValue): JBitSet = {
-    reverseReachOf(Iterator.single(target), from)
-    foundInto(new JBitSet(universe))
   }
 
   /** Nodes that can reach some node of `targets` (targets included) over the
@@ -200,10 +169,10 @@ final class Digraph(val universe: Int) {
     java.util.Arrays.copyOf(found, n)
   }
 
-  /** Influence spread of `seeds` over the edges with expiry ≥ `from`:
-    * |reach(seeds, from)|, counted without building the set. Not an oracle
-    * call by itself: callers that count oracle calls bump their
-    * [[OracleCounter]].
+  /** Influence spread of `seeds` over the edges with expiry ≥ `from`: the
+    * size of the union of their [[reachOf]] sets, counted without building
+    * it. Not an oracle call by itself: callers that count oracle calls bump
+    * their [[OracleCounter]].
     */
   def spreadOf(seeds: IterableOnce[Int], from: Int = Int.MinValue): Int = {
     restart()

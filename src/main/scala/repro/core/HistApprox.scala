@@ -77,7 +77,8 @@ final class HistApprox(
     // included: graph expiry in [c, c*).
     val succ = insts.lift(p)
     val inst = succ.fold(new SieveAdn(k, eps, counter, graph, c))(_.copyInstance(c))
-    inst.update(tdn.edgesExpiringIn(c, succ.fold(Int.MaxValue)(_.cutoff)))
+    val (us, vs) = tdn.edgesExpiringIn(c, succ.fold(Int.MaxValue)(_.cutoff))
+    inst.update(us, vs)
     insts.insert(p, inst)
     val withNew = new Array[Int](g.length + 1)
     System.arraycopy(g, 0, withNew, 0, p)

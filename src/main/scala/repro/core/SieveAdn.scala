@@ -18,7 +18,8 @@ import repro.tdn.{Tdn, TimedEdge}
   * Mechanics per batch Ē_t of edges new to the instance's view:
   *  1. the edges are in the graph (the stand-alone [[process]] inserts them);
   *  2. compute the candidate set V̄_t = nodes whose influence spread changed:
-  *     for the inserted edges (u,v), every v and reverseReach(every u);
+  *     for the inserted edges (u,v), every v plus every node that can reach
+  *     some u, found by one reverse search from all the u's;
   *  3. evaluate f({v}) for each candidate (one oracle call each), keeping
   *     reach(v) as a list of nodes, updating
   *     Δ = max singleton spread, and slide the threshold window
@@ -106,7 +107,8 @@ final class SieveAdn private[core] (
   def process(batch: Seq[(Int, Int)]): Unit = {
     require(cutoff == Int.MinValue, "only a stand-alone instance adds edges to its graph")
     batch.foreach { case (u, v) => graph.checkEdge(u, v) }
-    update(batch.filter { case (u, v) => graph.addEdge(u, v) })
+    val inserted = batch.filter { case (u, v) => graph.addEdge(u, v) }
+    update(inserted.map(_._1).toArray, inserted.map(_._2).toArray)
   }
 
   /** Feed the edges of a batch just added to the shared graph that this
@@ -124,14 +126,12 @@ final class SieveAdn private[core] (
     }
   }
 
-  /** Steps 2–5 for `inserted`: distinct edges, without self-loops, that are
-    * in the graph with expiry ≥ `cutoff` and were not visible before.
+  /** Steps 2–5 for the inserted edges (us(e), vs(e)): distinct edges,
+    * without self-loops, that are in the graph with expiry ≥ `cutoff` and
+    * were not visible before. No edges, no work.
     */
-  private[core] def update(inserted: Seq[(Int, Int)]): Unit =
-    if (inserted.nonEmpty) update(inserted.iterator.map(_._1).toArray, inserted.iterator.map(_._2).toArray)
-
-  /** [[update]] over the inserted edges (us(e), vs(e)), e ascending. */
-  private def update(us: Array[Int], vs: Array[Int]): Unit = {
+  private[core] def update(us: Array[Int], vs: Array[Int]): Unit = {
+    if (us.isEmpty) return
     val cand = candidates(us, vs)
 
     // Δ update (Alg. 1 line 4) — f({v}) for each candidate, one call each;

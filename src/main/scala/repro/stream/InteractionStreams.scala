@@ -85,6 +85,14 @@ object InteractionStreams {
     least(lit(n.toLong), greatest(lit(1L), raw.cast("long")))
   }
 
+  /** Partition count of every generated stream. `rand(seed)` seeds each
+    * partition by its index, so a stream is fixed by its seed only once its
+    * partitioning is. 4 is what `spark.range` chose on the 4-core host that
+    * recorded EXPERIMENTS.md, and what perfbench's `spark.default.parallelism`
+    * gives, so no recorded stream moved.
+    */
+  private val Partitions = 4
+
   private def gen(
       spark: SparkSession,
       spec: StreamSpec,
@@ -92,7 +100,7 @@ object InteractionStreams {
       tsExpr: org.apache.spark.sql.Column,
   ): DataFrame = {
     val src = (zipfRank(spec.nSrc, spec.zipfAlpha, spec.seed) - 1).cast("int").as("src")
-    val base = spark.range(rows).select(tsExpr.cast("int").as("ts"), src,
+    val base = spark.range(0, rows, 1, Partitions).select(tsExpr.cast("int").as("ts"), src,
       if (spec.bipartite)
         (lit(spec.nSrc) + (rand(spec.seed + 1) * spec.nDst).cast("int")).as("dst")
       else {

@@ -140,10 +140,11 @@ final class Tdn {
 
   /** The edges (u, v) of the live graph whose expiry there — the largest
     * among their alive interactions — is in [lo, hi), each once, ascending
-    * by (u, v). Walks only the entries expiring in [lo, hi): an entry whose
-    * expiry a later add raised is skipped. Needs the graph ([[toDigraph]]).
+    * by (u, v), as parallel arrays of tails and heads. Walks only the
+    * entries expiring in [lo, hi): an entry whose expiry a later add raised
+    * is skipped. Needs the graph ([[toDigraph]]).
     */
-  def edgesExpiringIn(lo: Int, hi: Int): Seq[(Int, Int)] = {
+  def edgesExpiringIn(lo: Int, hi: Int): (Array[Int], Array[Int]) = {
     require(graph != null, "edgesExpiringIn needs the live graph: call toDigraph first")
     val from  = firstAtLeast(lo)
     var until = from
@@ -159,13 +160,17 @@ final class Tdn {
     // Repeats of a pair at its graph expiry all match: sorted, they sit side
     // by side and are listed once.
     java.util.Arrays.sort(found, 0, n)
-    val out = Vector.newBuilder[(Int, Int)]
+    var m = 0
     i = 0
     while (i < n) {
-      if (i == 0 || found(i) != found(i - 1)) out += ((srcOf(found(i)), dstOf(found(i))))
+      if (i == 0 || found(i) != found(i - 1)) { found(m) = found(i); m += 1 }
       i += 1
     }
-    out.result()
+    val us = new Array[Int](m)
+    val vs = new Array[Int](m)
+    i = 0
+    while (i < m) { us(i) = srcOf(found(i)); vs(i) = dstOf(found(i)); i += 1 }
+    (us, vs)
   }
 
   /** G_t as a reachability graph over `universe` node ids. The graph is built

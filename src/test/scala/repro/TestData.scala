@@ -46,7 +46,7 @@ object TestData {
     }
   }
 
-  /** Edge list as a DataFrame (src, dst) for the Spark/DuckDB oracles. */
+  /** Edge list as a DataFrame (src, dst) for the DuckDB oracle. */
   def edgesDf(spark: SparkSession, edges: Seq[(Int, Int)]): DataFrame = {
     import spark.implicits._
     edges.toDF("src", "dst")

@@ -43,7 +43,7 @@ class CelfGreedySpec extends AnyFunSuite {
     for (seed <- 0 until 12) {
       val g = TestData.digraphOf(20, TestData.randomEdges(20, 50, 100L + seed))
       val (_, vLazy)  = CelfGreedy.select(g, 3, new OracleCounter)
-      val (_, vNaive) = CelfGreedy.selectNaive(g, 3, new OracleCounter)
+      val (_, vNaive) = NaiveGreedy.select(g, 3, new OracleCounter)
       assert(vLazy == vNaive, s"seed=$seed lazy=$vLazy naive=$vNaive")
     }
   }
@@ -55,7 +55,7 @@ class CelfGreedySpec extends AnyFunSuite {
       val g   = TestData.digraphOf(n, TestData.randomEdges(n, rng.nextInt(2 * n), 500L + seed))
       val k   = 1 + rng.nextInt(6)
       val lazySel  = CelfGreedy.select(g, k, new OracleCounter)
-      val naiveSel = CelfGreedy.selectNaive(g, k, new OracleCounter)
+      val naiveSel = NaiveGreedy.select(g, k, new OracleCounter)
       assert(lazySel == naiveSel, s"seed=$seed")
     }
     val chain = TestData.digraphOf(4, Seq((0, 1), (1, 2)))
@@ -68,7 +68,7 @@ class CelfGreedySpec extends AnyFunSuite {
       val cLazy  = new OracleCounter
       val cNaive = new OracleCounter
       CelfGreedy.select(g, 5, cLazy)
-      CelfGreedy.selectNaive(g, 5, cNaive)
+      NaiveGreedy.select(g, 5, cNaive)
       assert(cLazy.calls <= cNaive.calls, s"seed=$seed")
     }
   }

@@ -1,6 +1,5 @@
 package repro.core
 
-import java.util.{BitSet => JBitSet}
 import scala.collection.mutable
 import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
@@ -18,9 +17,9 @@ class DigraphSpec extends AnyFunSuite {
   test("addEdge inserts a directed edge and registers both endpoints") {
     val g = new Digraph(10)
     assert(g.addEdge(1, 2))
-    assert(g.hasEdge(1, 2))
-    assert(!g.hasEdge(2, 1))
-    assert(g.hasNode(1) && g.hasNode(2))
+    assert(g.expiryOf(1, 2) == Int.MaxValue)
+    assert(g.expiryOf(2, 1) == Int.MinValue)
+    assert(g.nodeArray.toSeq == Seq(1, 2))
     assert(g.nodeCount == 2)
   }
 
@@ -28,7 +27,7 @@ class DigraphSpec extends AnyFunSuite {
     val g = new Digraph(10)
     assert(!g.addEdge(3, 3))
     assert(g.edgeCount == 0)
-    assert(!g.hasNode(3))
+    assert(g.nodeArray.isEmpty)
   }
 
   test("duplicate edges are deduplicated") {
@@ -36,7 +35,7 @@ class DigraphSpec extends AnyFunSuite {
     assert(g.addEdge(1, 2))
     assert(!g.addEdge(1, 2))
     assert(g.edgeCount == 1)
-    assert(g.outNeighbors(1) == Seq(2))
+    assert(g.reachOf(1).toSeq == Seq(1, 2))
   }
 
   test("out of universe edge is rejected with an error") {
@@ -48,9 +47,9 @@ class DigraphSpec extends AnyFunSuite {
   test("outNeighbors and inNeighbors reflect direction") {
     val g = new Digraph(10)
     g.addEdge(0, 1); g.addEdge(0, 2); g.addEdge(3, 0)
-    assert(g.outNeighbors(0).toSet == Set(1, 2))
-    assert(g.inNeighbors(0) == Seq(3))
-    assert(g.outNeighbors(1).isEmpty)
+    assert(g.reachOf(0).toSet == Set(0, 1, 2))
+    assert(g.reverseReachOf(Seq(0), Int.MinValue).toSet == Set(0, 3))
+    assert(g.reachOf(1).toSeq == Seq(1))
   }
 
   test("nodeArray lists present nodes ascending") {
@@ -61,9 +60,7 @@ class DigraphSpec extends AnyFunSuite {
 
   test("reach on a chain includes all downstream nodes and the seed") {
     val g = TestData.digraphOf(6, Seq((0, 1), (1, 2), (2, 3)))
-    val r = g.reach(Iterator.single(0))
-    assert((0 to 3).forall(r.get))
-    assert(!r.get(4) && !r.get(5))
+    assert(g.reachOf(0).toSet == Set(0, 1, 2, 3))
   }
 
   test("reach handles cycles without looping") {
@@ -84,9 +81,7 @@ class DigraphSpec extends AnyFunSuite {
 
   test("reverseReach collects all ancestors") {
     val g = TestData.digraphOf(6, Seq((0, 2), (1, 2), (2, 3), (4, 5)))
-    val r = g.reverseReach(3)
-    assert(Seq(0, 1, 2, 3).forall(r.get))
-    assert(!r.get(4) && !r.get(5))
+    assert(g.reverseReachOf(Seq(3), Int.MinValue).toSet == Set(0, 1, 2, 3))
   }
 
   test("reach agrees with a reference BFS on random graphs") {
@@ -94,9 +89,8 @@ class DigraphSpec extends AnyFunSuite {
       val edges = TestData.randomEdges(30, 60, seed)
       val g     = TestData.digraphOf(30, edges)
       val seeds = Seq((seed % 30).toInt)
-      val got   = g.reach(seeds)
-      val want  = TestData.referenceReach(edges, seeds)
-      assert((0 until 30).filter(got.get).toSet == want, s"seed=$seed")
+      val got   = seeds.flatMap(g.reachOf(_)).toSet
+      assert(got == TestData.referenceReach(edges, seeds), s"seed=$seed")
     }
   }
 
@@ -104,9 +98,9 @@ class DigraphSpec extends AnyFunSuite {
     val edges = TestData.randomEdges(20, 40, 99L)
     val g     = TestData.digraphOf(20, edges)
     for (v <- 0 until 20) {
-      val rev  = g.reverseReach(v)
-      val want = (0 until 20).filter(u => g.reach(Iterator.single(u)).get(v)).toSet
-      assert((0 until 20).filter(rev.get).toSet == want)
+      val rev  = g.reverseReachOf(Seq(v), Int.MinValue).toSet
+      val want = (0 until 20).filter(u => g.reachOf(u).contains(v)).toSet
+      assert(rev == want)
     }
   }
 
@@ -116,12 +110,11 @@ class DigraphSpec extends AnyFunSuite {
     g.addEdge(1, 2, expiry = 3)
     g.addEdge(2, 3, expiry = 8)
     assert(g.spreadOf(Seq(0)) == 4)
-    assert(g.reach(Seq(0), from = 3).cardinality() == 4)
-    assert(g.reach(Seq(0), from = 4).cardinality() == 2)
-    assert(g.reach(Seq(2), from = 6).cardinality() == 2)
-    assert(g.reach(Seq(0), from = 6).cardinality() == 1)
-    val r = g.reverseReach(3, from = 4)
-    assert((0 until 6).filter(r.get) == Seq(2, 3))
+    assert(g.reachOf(0, from = 3).length == 4)
+    assert(g.reachOf(0, from = 4).length == 2)
+    assert(g.reachOf(2, from = 6).length == 2)
+    assert(g.reachOf(0, from = 6).length == 1)
+    assert(g.reverseReachOf(Seq(3), from = 4).sorted.toSeq == Seq(2, 3))
   }
 
   test("adding an edge again raises its expiry to the larger value") {
@@ -132,7 +125,7 @@ class DigraphSpec extends AnyFunSuite {
     assert(!g.addEdge(0, 1, expiry = 2))
     assert(g.expiryOf(0, 1) == 9)
     assert(g.edgeCount == 1)
-    assert(g.reverseReach(1, from = 9).get(0))
+    assert(g.reverseReachOf(Seq(1), from = 9).contains(0))
     assert(g.expiryOf(1, 0) == Int.MinValue)
   }
 
@@ -144,10 +137,10 @@ class DigraphSpec extends AnyFunSuite {
     g.addEdge(3, 4, expiry = 3)
     g.expire(0, 1, now = 2)
     g.expire(1, 2, now = 2)
-    assert(g.hasEdge(0, 1) && !g.hasEdge(1, 2))
+    assert(g.expiryOf(0, 1) == 4 && g.expiryOf(1, 2) == Int.MinValue)
     assert(g.edgeCount == 2)
     assert(g.nodeArray.toSeq == Seq(0, 1, 3, 4) && g.nodeCount == 4)
-    assert(g.inNeighbors(2).isEmpty && g.outNeighbors(1).isEmpty)
+    assert(g.reverseReachOf(Seq(2), Int.MinValue).toSeq == Seq(2) && g.reachOf(1).toSeq == Seq(1))
     g.expire(3, 4, now = 3)
     g.expire(0, 1, now = 4)
     assert(g.edgeCount == 0 && g.nodeCount == 0 && g.nodeArray.isEmpty)
@@ -164,10 +157,10 @@ class DigraphSpec extends AnyFunSuite {
     val g = TestData.digraphOf(4, Seq((0, 1)))
     val bad = Seq[(Int, Digraph => Any)](
       4  -> (_.spreadOf(Seq(0, 4))),
-      -1 -> (_.reach(Seq(-1))),
+      -1 -> (_.reachOf(-1)),
       7  -> (_.reachOf(7)),
       5  -> (_.spreadOf(5, 0)),
-      4  -> (_.reverseReach(4)),
+      4  -> (_.reverseReachOf(Seq(4), Int.MinValue)),
       9  -> (_.reverseReachOf(Seq(0, 9), Int.MinValue)),
     )
     bad.foreach { case (seed, search) =>
@@ -188,7 +181,6 @@ class DigraphSpec extends AnyFunSuite {
         val live = model.toSeq.collect { case ((u, v), e) if e >= from => if (reverse) (v, u) else (u, v) }
         TestData.referenceReach(live, seeds)
       }
-      def members(b: JBitSet): Set[Int] = b.stream().toArray.toSet
       for (op <- 0 until 600) {
         val u    = rng.nextInt(n)
         val from = rng.nextInt(16) - 4
@@ -217,16 +209,17 @@ class DigraphSpec extends AnyFunSuite {
             assert(g.spreadOf(u, from) == naive(Seq(u), from, reverse = false).size, ctx)
           case 6 =>
             val seeds = Seq.fill(1 + rng.nextInt(3))(rng.nextInt(n))
-            assert(members(g.reach(seeds, from)) == naive(seeds, from, reverse = false), ctx)
+            // A multi-seed reach set is the union of each seed's.
+            assert(seeds.flatMap(g.reachOf(_, from)).toSet == naive(seeds, from, reverse = false), ctx)
           case 7 =>
-            assert(members(g.reverseReach(u, from)) == naive(Seq(u), from, reverse = true), ctx)
+            assert(g.reverseReachOf(Seq(u), from).toSet == naive(Seq(u), from, reverse = true), ctx)
           case _ =>
             // One multi-target search equals the union of single searches.
             val targets = Seq.fill(1 + rng.nextInt(4))(rng.nextInt(n))
             val r       = g.reverseReachOf(targets, from)
             assert(r.distinct.length == r.length, ctx)
             assert(r.toSet == targets.map(t => naive(Seq(t), from, reverse = true)).reduce(_ | _), ctx)
-            assert(r.toSet == targets.map(t => members(g.reverseReach(t, from))).reduce(_ | _), ctx)
+            assert(r.toSet == targets.map(t => g.reverseReachOf(Seq(t), from).toSet).reduce(_ | _), ctx)
             mostReached = math.max(mostReached, r.length)
         }
         assert(g.edgeCount == model.size, ctx)

@@ -13,7 +13,7 @@ class RandomBruteSpec extends AnyFunSuite {
     val s   = RandomSelect.select(g, 5, rng)
     assert(s.size == 5)
     assert(s.distinct.size == 5)
-    assert(s.forall(g.hasNode))
+    assert(s.forall(g.nodeArray.contains))
   }
 
   test("RandomSelect returns all nodes when fewer than k") {

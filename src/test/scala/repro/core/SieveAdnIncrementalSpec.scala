@@ -15,7 +15,7 @@ class SieveAdnIncrementalSpec extends AnyFunSuite {
     // fresh BFS evaluation of the reported solution at the instance's cutoff.
     val sol = s.solution
     val v   = s.currentValue
-    val f   = s.graph.reach(sol, s.cutoff).cardinality()
+    val f   = s.graph.spreadOf(sol, s.cutoff)
     if (sol.isEmpty) assert(v == 0)
     else assert(f == v, s"cached $v vs recomputed $f")
   }

@@ -128,8 +128,8 @@ class SieveAdnSpec extends AnyFunSuite {
     assert(c.currentValue == 6)
     // 0 reaches {0,1}; 2 reaches {2,3}; best pair {0,2} has value 4.
     assert(s.currentValue == 4)
-    assert(g.reach(Seq(0, 2), s.cutoff).cardinality() == 4)
-    assert(g.hasEdge(0, 4) && !g.reach(Seq(0), s.cutoff).get(4))
+    assert(g.spreadOf(Seq(0, 2), s.cutoff) == 4)
+    assert(g.expiryOf(0, 4) == 7 && !g.reachOf(0, s.cutoff).contains(4))
   }
 
   test("copyInstance preserves value and solution") {
@@ -171,6 +171,8 @@ object SieveAdnSpec {
   /** Add `edges` to a shared-graph instance's graph at `expiry` and feed it
     * those that were new.
     */
-  def addAndUpdate(s: SieveAdn, edges: Seq[(Int, Int)], expiry: Int): Unit =
-    s.update(edges.filter { case (u, v) => s.graph.addEdge(u, v, expiry) })
+  def addAndUpdate(s: SieveAdn, edges: Seq[(Int, Int)], expiry: Int): Unit = {
+    val added = edges.filter { case (u, v) => s.graph.addEdge(u, v, expiry) }
+    s.update(added.map(_._1).toArray, added.map(_._2).toArray)
+  }
 }

@@ -1,11 +1,21 @@
 package repro.stream
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 
 class InteractionStreamsSpec extends SparkSpec {
 
   private lazy val bk = InteractionStreams.generate(spark, InteractionStreams.brightkite).cache()
+
+  /** Row count and an order-sensitive hash of the (ts, src, dst) rows. */
+  private def checksum(df: DataFrame): (Int, Long) = {
+    val rows = df.collect()
+    val hash = rows.foldLeft(17L) { (h, r) =>
+      h * 1000003L + (r.getInt(0).toLong << 42 ^ r.getInt(1).toLong << 21 ^ r.getInt(2).toLong)
+    }
+    (rows.length, hash)
+  }
 
   test("every spec's universe matches its bipartite flag") {
     assert(InteractionStreams.brightkite.universe == 7730 + 514)
@@ -20,6 +30,15 @@ class InteractionStreamsSpec extends SparkSpec {
     val a = InteractionStreams.generate(spark, InteractionStreams.twitterHK)
     val b = InteractionStreams.generate(spark, InteractionStreams.twitterHK)
     assert(a.except(b).count() == 0 && b.except(a).count() == 0)
+  }
+
+  test("streams are pinned by their seed, not by the host's core count") {
+    // Recorded on a 4-core host; a partition count that followed the cores
+    // would change them elsewhere.
+    val c2q = InteractionStreams.unitStepPrefix(spark, InteractionStreams.stackOverflowC2Q, 2000)
+    assert(checksum(c2q) == ((2000, 5020223499969485794L)))
+    val gowalla = InteractionStreams.generate(spark, InteractionStreams.gowalla)
+    assert(checksum(gowalla) == ((64429, 4790150260930543664L)))
   }
 
   test("timestamps cover [0, steps) and are non-decreasing in arrival order") {

@@ -6,6 +6,13 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class TdnSpec extends AnyFunSuite {
 
+  /** edgesExpiringIn(lo, hi) as (tail, head) pairs. */
+  private def expiringIn(tdn: Tdn, lo: Int, hi: Int): Seq[(Int, Int)] = {
+    val (us, vs) = tdn.edgesExpiringIn(lo, hi)
+    assert(us.length == vs.length)
+    us.toSeq.zip(vs)
+  }
+
   test("TimedEdge rejects non-positive lifetimes") {
     intercept[IllegalArgumentException](TimedEdge(0, 1, 0))
     intercept[IllegalArgumentException](TimedEdge(0, 1, -3))
@@ -68,8 +75,8 @@ class TdnSpec extends AnyFunSuite {
     tdn.advance()
     val g = tdn.toDigraph(6)
     assert(g.edgeCount == 1)
-    assert(g.hasEdge(0, 1))
-    assert(!g.hasEdge(2, 3))
+    assert(g.expiryOf(0, 1) == 4)
+    assert(g.expiryOf(2, 3) == Int.MinValue)
   }
 
   test("aliveNodes is the set of endpoints of alive edges") {
@@ -118,10 +125,10 @@ class TdnSpec extends AnyFunSuite {
     assert(g.edgeCount == 2 && g.expiryOf(0, 1) == 3)
     tdn.add(Seq(TimedEdge(2, 3, 2), TimedEdge(4, 4, 2)))
     assert(tdn.toDigraph(5) eq g)
-    assert(g.hasEdge(2, 3) && !g.hasEdge(4, 4))
+    assert(g.expiryOf(2, 3) == 2 && g.expiryOf(4, 4) == Int.MinValue)
     tdn.advance() // (1, 2) expires; (0, 1) is still held by its later copy
     assert(tdn.toDigraph(5) eq g)
-    assert(g.hasEdge(0, 1) && !g.hasEdge(1, 2))
+    assert(g.expiryOf(0, 1) == 3 && g.expiryOf(1, 2) == Int.MinValue)
     assert(g.nodeArray.toSeq == Seq(0, 1, 2, 3))
     tdn.advance(); tdn.advance()
     assert(g.edgeCount == 0 && g.nodeCount == 0)
@@ -170,10 +177,10 @@ class TdnSpec extends AnyFunSuite {
     )
     tdn.toDigraph(6)
     tdn.advance() // (3, 4) expires
-    assert(tdn.edgesExpiringIn(3, 5) == Seq((0, 1), (1, 2)))
-    assert(tdn.edgesExpiringIn(2, 3).isEmpty)
-    assert(tdn.edgesExpiringIn(5, 6) == Seq((2, 3)))
-    assert(tdn.edgesExpiringIn(Int.MinValue, Int.MaxValue) == Seq((0, 1), (1, 2), (2, 3)))
+    assert(expiringIn(tdn, 3, 5) == Seq((0, 1), (1, 2)))
+    assert(expiringIn(tdn, 2, 3).isEmpty)
+    assert(expiringIn(tdn, 5, 6) == Seq((2, 3)))
+    assert(expiringIn(tdn, Int.MinValue, Int.MaxValue) == Seq((0, 1), (1, 2), (2, 3)))
     intercept[IllegalArgumentException](new Tdn().edgesExpiringIn(0, 1))
   }
 
@@ -212,7 +219,7 @@ class TdnSpec extends AnyFunSuite {
             val lo = t - 2 + rng.nextInt(16)
             val hi = lo + rng.nextInt(8)
             val want = expiry.toSeq.collect { case (p, x) if x >= lo && x < hi => p }.sorted
-            assert(tdn.edgesExpiringIn(lo, hi) == want, s"$ctx [$lo, $hi)")
+            assert(expiringIn(tdn, lo, hi) == want, s"$ctx [$lo, $hi)")
           }
         }
 
