@@ -21,12 +21,12 @@ final class BasicReduction(
     val eps: Double,
     val maxLifetime: Int,
     val universe: Int,
-    val counter: OracleCounter = new OracleCounter,
 ) extends StreamingInfluenceAlgo {
   require(maxLifetime >= 1, "L must be >= 1")
 
-  private val tdn   = new Tdn
-  private val graph = tdn.toDigraph(universe)
+  private val counter = new OracleCounter
+  private val tdn     = new Tdn
+  private val graph   = tdn.toDigraph(universe)
   // Head (index 0) is A_1.
   private val instances = mutable.ArrayDeque.tabulate(maxLifetime)(i => newInstance(i + 1))
 

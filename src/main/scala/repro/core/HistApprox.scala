@@ -23,12 +23,12 @@ final class HistApprox(
     val eps: Double,
     val maxLifetime: Int,
     val universe: Int,
-    val counter: OracleCounter = new OracleCounter,
 ) extends StreamingInfluenceAlgo {
   require(maxLifetime >= 1, "L must be >= 1")
 
-  private val tdn   = new Tdn
-  private val graph = tdn.toDigraph(universe)
+  private val counter = new OracleCounter
+  private val tdn     = new Tdn
+  private val graph   = tdn.toDigraph(universe)
   // Active instances ascending by cutoff: x_1 < x_2 < ...
   private val insts = mutable.ArrayBuffer.empty[SieveAdn]
 
@@ -36,9 +36,6 @@ final class HistApprox(
 
   /** Active index set x_t, ascending. */
   def indices: Seq[Int] = insts.map(_.cutoff - tdn.now).toSeq
-
-  /** Number of live SieveADN instances |x_t|. */
-  def activeInstances: Int = insts.length
 
   /** The TDN state (exposed for tests and fair cross-algorithm evaluation). */
   def currentTdn: Tdn = tdn

@@ -134,20 +134,11 @@ object Experiments {
       callRatioToGreedy: Double,    // Fig 10 (cumulative calls at the horizon)
   )
 
-  /** A HistApprox whose display name carries its ε — the step loop rejects
-    * several trackers of one name in one run.
+  /** Figs. 8–10: one Greedy and Random run shared by every ε, then each ε's
+    * HistApprox in its own run over the same batches, since a run keys its
+    * records by tracker name. The trackers and the ground truth are
+    * deterministic and independent of each other, so the split changes no row.
     */
-  final class NamedHistApprox(k: Int, eps: Double, maxL: Int, universe: Int)
-      extends StreamingInfluenceAlgo {
-    private val inner         = new HistApprox(k, eps, maxL, universe)
-    override val name: String = f"HistApprox(eps=$eps%.2f)"
-    override def observe(batch: Seq[repro.tdn.TimedEdge]): Unit = inner.observe(batch)
-    override def querySolution: Seq[Int]                        = inner.querySolution
-    override def endStep(): Unit                                = inner.endStep()
-    override def oracleCalls: Long                              = inner.oracleCalls
-  }
-
-  /** Figs. 8–10, correctly disambiguating per-ε trackers. */
   def fig8to10Rows(
       spark: SparkSession,
       specs: Seq[StreamSpec],
@@ -161,14 +152,12 @@ object Experiments {
       val batches = batchesFor(spark, spec, steps, pOf(spec), maxL)
       val greedy  = new GreedyTracker(k, spec.universe)
       val random  = new RandomTracker(k, spec.universe, seed = 55L)
-      val hists   = epss.map(e => e -> new NamedHistApprox(k, e, maxL, spec.universe))
-      val recs    = StreamDriver.run(batches, greedy +: random +: hists.map(_._2), queryEvery = 1)
-
+      val recs    = StreamDriver.run(batches, Seq(greedy, random))
       val g       = recs("Greedy")
       val gv      = avg(g.map(_.value.toDouble))
       val rv      = avg(recs("Random").map(_.value.toDouble))
-      hists.map { case (e, tracker) =>
-        val h = recs(tracker.name)
+      epss.map { e =>
+        val h = StreamDriver.run(batches, Seq(new HistApprox(k, e, maxL, spec.universe)))("HistApprox")
         Fig8Row(
           spec.name, e,
           avgHistValue = avg(h.map(_.value.toDouble)),
@@ -260,8 +249,8 @@ object Experiments {
         new GreedyTracker(k, spec.universe),
         new HistApprox(k, 0.3, maxL, spec.universe),
         new DimTracker(k, spec.universe, beta = 32, seed = 21L),
-        new ImmTracker(k, spec.universe, eps = 0.3, seed = 22L, maxRR = maxRR),
-        new TimPlusTracker(k, spec.universe, eps = 0.3, seed = 23L, maxRR = maxRR),
+        new ImmTracker(k, spec.universe, seed = 22L, maxRR = maxRR),
+        new TimPlusTracker(k, spec.universe, seed = 23L, maxRR = maxRR),
         new RandomTracker(k, spec.universe, seed = 24L),
       )
       val recs = StreamDriver.run(batches, algos, queryEvery = 1)

@@ -38,6 +38,7 @@ final class DimTracker(
 
   private val rng      = new java.util.Random(seed)
   private val tdn      = new Tdn
+  tdn.toDigraph(universe) // from here on, tdn.add rejects ids outside the universe
   private val poolSize = math.max(256, beta * 256)
 
   private val targets   = new Array[Int](poolSize)
@@ -51,8 +52,6 @@ final class DimTracker(
   { (0 until poolSize).foreach(stale.set) } // everything starts unsampled
 
   override def name: String = "DIM"
-
-  def currentTdn: Tdn = tdn
 
   private def index(id: Int, nodes: Array[Int]): Unit =
     nodes.foreach(v => byNode.getOrElseUpdate(v, mutable.BitSet.empty) += id)

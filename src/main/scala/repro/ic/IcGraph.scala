@@ -18,12 +18,7 @@ final class IcGraph private (
     val nodes: Array[Int],
 ) {
 
-  def inNeighbors(v: Int): Seq[(Int, Double)] = {
-    val b = inEdges(v)
-    if (b == null) Nil else b.toSeq
-  }
-
-  /** Iterate in-edges of v without materializing. */
+  /** In-edges of v as (source, probability), or null if it has none. */
   private[ic] def inBuf(v: Int): ArrayBuffer[(Int, Double)] = inEdges(v)
 
   def nodeCount: Int = nodes.length
@@ -33,11 +28,6 @@ final class IcGraph private (
     var i = 0
     while (i < universe) { if (inEdges(i) != null) s += inEdges(i).length; i += 1 }
     s
-  }
-
-  def probability(u: Int, v: Int): Double = {
-    val b = inEdges(v)
-    if (b == null) 0.0 else b.find(_._1 == u).map(_._2).getOrElse(0.0)
   }
 }
 
@@ -99,11 +89,6 @@ object RRSets {
     out.toArray
   }
 
-  /** Sample `r` RR sets with uniformly random alive targets. */
-  def sampleMany(ic: IcGraph, r: Int, rng: java.util.Random): IndexedSeq[Array[Int]] =
-    if (ic.nodeCount == 0) Vector.empty
-    else (0 until r).map(_ => sample(ic, ic.nodes(rng.nextInt(ic.nodeCount)), rng))
-
   /** Greedy max-cover over RR sets.
     *
     * @return (seeds, number of RR sets covered)
@@ -130,13 +115,5 @@ object RRSets {
       degree.remove(best)
     }
     (seeds.toSeq, total)
-  }
-
-  /** Estimated IC spread of `seeds` from an RR sample: n · coveredFraction. */
-  def estimateSpread(rr: IndexedSeq[Array[Int]], seeds: Seq[Int], n: Int): Double = {
-    if (rr.isEmpty) return 0.0
-    val s   = seeds.toSet
-    val hit = rr.count(_.exists(s.contains))
-    n.toDouble * hit / rr.size
   }
 }

@@ -8,7 +8,6 @@ import repro.core.TdnTracker
 final class ImmTracker(
     k: Int,
     universe: Int,
-    eps: Double = 0.3,
     seed: Long = 11L,
     maxRR: Int = 50000,
 ) extends TdnTracker(universe) {
@@ -17,7 +16,7 @@ final class ImmTracker(
   override def name: String = "IMM"
 
   override def querySolution: Seq[Int] =
-    Imm.select(IcGraph.fromCounts(tdn.interactionCounts, universe), k, eps, rng, maxRR)
+    Imm.select(IcGraph.fromCounts(tdn.interactionCounts, universe), k, eps = 0.3, rng, maxRR)
 
   override def oracleCalls: Long = 0L
 }
@@ -28,7 +27,6 @@ final class ImmTracker(
 final class TimPlusTracker(
     k: Int,
     universe: Int,
-    eps: Double = 0.3,
     seed: Long = 13L,
     maxRR: Int = 50000,
 ) extends TdnTracker(universe) {
@@ -37,7 +35,7 @@ final class TimPlusTracker(
   override def name: String = "TIM+"
 
   override def querySolution: Seq[Int] =
-    TimPlus.select(IcGraph.fromCounts(tdn.interactionCounts, universe), k, eps, rng, maxRR)
+    TimPlus.select(IcGraph.fromCounts(tdn.interactionCounts, universe), k, eps = 0.3, rng, maxRR)
 
   override def oracleCalls: Long = 0L
 }

@@ -25,7 +25,10 @@ object TimPlus {
 
     // In-degree per node for the RR width w(R) = # edges pointing into R.
     val inDeg = new Array[Int](ic.universe)
-    ic.nodes.foreach(v => inDeg(v) = ic.inNeighbors(v).length)
+    ic.nodes.foreach { v =>
+      val in = ic.inBuf(v)
+      if (in != null) inDeg(v) = in.length
+    }
     def width(r: Array[Int]): Int = { var s = 0; r.foreach(v => s += inDeg(v)); s }
 
     // Phase 1: KPT estimation (TIM Alg. 2).

@@ -52,6 +52,9 @@ object StreamDriver {
     * G_t before G_t decays. The loop owns that TDN (its `now` is the logical
     * clock), each tracker's cumulative clock (timing exactly `observe` +
     * `querySolution` + `endStep`) and records, keyed by distinct names.
+    * The TDN's graph over `universe` exists from construction, so a batch
+    * with a node id outside it is rejected before any tracker sees it, and
+    * the step can be retried.
     */
   final class StepLoop(universe: Int, algos: Seq[StreamingInfluenceAlgo]) {
     private val names = algos.map(_.name)
@@ -60,6 +63,7 @@ object StreamDriver {
 
     private val trackers = algos.toVector
     private val truth    = new Tdn
+    private val gt       = truth.toDigraph(universe)
     private val elapsed  = new Array[Long](trackers.size)
     private val out      = Array.fill(trackers.size)(Vector.empty[StepRecord])
 
@@ -69,8 +73,7 @@ object StreamDriver {
     /** Run step [[now]] on `batch`; record every tracker iff `query`. */
     def step(batch: Seq[TimedEdge], query: Boolean): Unit = {
       truth.add(batch)
-      val gt = if (query) truth.toDigraph(universe) else null
-      var i  = 0
+      var i = 0
       while (i < trackers.size) {
         val algo = trackers(i)
         val t0   = System.nanoTime()

@@ -3,68 +3,22 @@ package repro.tdn
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
-/** Lifetime assignment strategies for arriving interactions (§II-B).
+/** Lifetime assignment for arriving interactions (§II-B).
   *
-  * The TDN model is configured entirely by the lifetime assigner:
-  *  - [[Lifetimes.Fixed]]     → sliding-window networks (Example 4),
-  *  - [[Lifetimes.Infinite]]  → addition-only networks / ADNs (Example 3,
-  *    approximated by a very large horizon so arithmetic stays finite),
-  *  - [[Lifetimes.Geometric]] → probabilistic time-decaying networks
-  *    (Example 5 / the paper's experimental setting §V-B).
-  *
-  * All assigners are deterministic in their seed so the Spark-side column
-  * expression and the driver-side sampler can be cross-checked.
+  * The TDN model is configured entirely by the lifetime each interaction
+  * carries: a fixed lifetime gives sliding-window networks (Example 4), one
+  * longer than any horizon gives addition-only networks (Example 3), and a
+  * geometric lifetime gives probabilistic time-decaying networks (Example 5),
+  * the paper's experimental setting (§V-B), which every job and bench uses.
   */
 object Lifetimes {
 
-  /** A lifetime assigner maps the arrival index of an edge to its lifetime. */
-  sealed trait Assigner {
-    def apply(edgeIndex: Long): Int
-
-    /** Maximum lifetime this assigner can produce. */
-    def maxLifetime: Int
-  }
-
-  /** Every edge lives exactly `w` steps — the sliding-window model. */
-  final case class Fixed(w: Int) extends Assigner {
-    require(w >= 1)
-    def apply(edgeIndex: Long): Int = w
-    def maxLifetime: Int            = w
-  }
-
-  /** Addition-only: lifetimes outlive any experiment horizon. */
-  final case class Infinite(horizon: Int = Int.MaxValue / 4) extends Assigner {
-    def apply(edgeIndex: Long): Int = horizon
-    def maxLifetime: Int            = horizon
-  }
-
-  /** Geometric(p) truncated at L: Pr(l) ∝ (1−p)^{l−1} p, l ∈ {1..L}.
-    *
-    * Sampled by inverse CDF: l = min(L, 1 + ⌊ln U / ln(1−p)⌋), U ∈ (0,1].
-    * Each edge's draw is keyed by (seed, edgeIndex) so the stream is
-    * reproducible regardless of evaluation order.
-    */
-  final case class Geometric(p: Double, l: Int, seed: Long) extends Assigner {
-    require(p > 0.0 && p < 1.0, s"p must be in (0,1), got $p")
-    require(l >= 1)
-    private val logQ = math.log1p(-p)
-
-    def apply(edgeIndex: Long): Int = {
-      val rng = new java.util.Random(seed * 0x9e3779b97f4a7c15L + edgeIndex)
-      rng.nextDouble() // decorrelate from the linear seed
-      val u = 1.0 - rng.nextDouble() // in (0, 1]
-      math.min(l, 1 + math.floor(math.log(u) / logQ).toInt)
-    }
-
-    def maxLifetime: Int = l
-  }
-
-  /** Geometric(p)-truncated-at-L lifetime as a Spark column, for DataFrame
-    * pipelines: same distribution as [[Geometric]] (draws differ — Spark's
-    * rand stream is its own RNG; distribution equality is what tests check).
+  /** Geometric(p)-truncated-at-L lifetime as a Spark column:
+    * Pr(l) ∝ (1−p)^{l−1} p for l ∈ {1..L}, sampled by inverse CDF,
+    * l = min(L, 1 + ⌊ln U / ln(1−p)⌋) with U ∈ (0, 1].
     */
   def geometricColumn(p: Double, maxL: Int, seed: Long): Column = {
-    require(p > 0.0 && p < 1.0)
+    require(p > 0.0 && p < 1.0, s"p must be in (0,1), got $p")
     least(
       lit(maxL),
       (floor(log(lit(1.0) - rand(seed)) / math.log1p(-p)) + 1).cast("int"),

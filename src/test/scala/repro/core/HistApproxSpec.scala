@@ -171,7 +171,7 @@ class HistApproxSpec extends AnyFunSuite {
     var maxActive = 0
     stream.foreach { batch =>
       h.observe(batch)
-      maxActive = math.max(maxActive, h.activeInstances)
+      maxActive = math.max(maxActive, h.indices.size)
       h.endStep()
     }
     assert(maxActive < l / 2, s"active=$maxActive should be << L=$l")

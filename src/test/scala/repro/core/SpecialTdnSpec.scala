@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
-import repro.tdn.{Lifetimes, Tdn, TimedEdge}
+import repro.tdn.{Tdn, TimedEdge}
 
 /** The TDN model's special cases (Examples 3–5) drive the same algorithms:
   * ADNs (infinite lifetime), sliding windows (fixed lifetime), probabilistic
@@ -45,13 +45,13 @@ class SpecialTdnSpec extends AnyFunSuite {
 
   test("geometric lifetimes keep the alive graph bounded near m/p (Example 5)") {
     val p        = 0.2
-    val assigner = Lifetimes.Geometric(p, l = 1000, seed = 11L)
+    val rng      = new java.util.Random(11L)
     val tdn      = new Tdn
-    var idx      = 0L
     var maxAlive = 0
     for (t <- 0 until 400) {
-      val e = TimedEdge(t % 50, (t + 1) % 50, assigner(idx)); idx += 1
-      tdn.add(Seq(e))
+      // Geo(p) truncated at L = 1000, by inverse CDF: U ∈ (0, 1].
+      val life = math.min(1000, 1 + math.floor(math.log(1.0 - rng.nextDouble()) / math.log1p(-p)).toInt)
+      tdn.add(Seq(TimedEdge(t % 50, (t + 1) % 50, life)))
       maxAlive = math.max(maxAlive, tdn.aliveCount)
       tdn.advance()
     }

@@ -76,15 +76,6 @@ class ExperimentsSpec extends SparkSpec {
     assert(math.abs(by("Greedy") - 1.0) < 1e-9)
   }
 
-  test("NamedHistApprox disambiguates eps in the tracker name") {
-    val t = new Experiments.NamedHistApprox(3, 0.15, 30, 60)
-    assert(t.name == "HistApprox(eps=0.15)")
-    t.observe(Seq(repro.tdn.TimedEdge(0, 1, 5)))
-    assert(t.querySolution.nonEmpty)
-    t.endStep()
-    assert(t.oracleCalls > 0)
-  }
-
   test("Defaults keep the paper's regime: L >> 1/p") {
     InteractionStreams.all.foreach { spec =>
       assert(Defaults.maxL > 5.0 / Defaults.pFor(spec) * 0.9, spec.name)

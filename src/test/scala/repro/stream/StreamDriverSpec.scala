@@ -1,7 +1,9 @@
 package repro.stream
 
-import repro.SparkSpec
-import repro.core.{GreedyTracker, HistApprox, RandomTracker}
+import repro.{SparkSpec, TestData}
+import repro.core.{BasicReduction, GreedyTracker, HistApprox, RandomTracker, StreamingInfluenceAlgo}
+import repro.ic.{DimTracker, ImmTracker, TimPlusTracker}
+import repro.stream.StreamDriver.StepLoop
 import repro.tdn.{Lifetimes, TimedEdge}
 
 class StreamDriverSpec extends SparkSpec {
@@ -51,6 +53,51 @@ class StreamDriverSpec extends SparkSpec {
         new HistApprox(5, 0.1, 50, b.universe)))
     }
     assert(e.getMessage.contains("HistApprox") && !e.getMessage.contains("Random"), e.getMessage)
+  }
+
+  test("an edge outside the universe is rejected at its step and changes no tracker or ground truth") {
+    val universe = 10
+    val stream   = TestData.randomTimedStream(universe, steps = 10, perStep = 3, maxL = 5, seed = 17L)
+    val s        = 2
+    val bad      = stream(s) :+ TimedEdge(0, universe, 3)
+    def trackers(): Seq[StreamingInfluenceAlgo] = Seq(
+      new HistApprox(2, 0.2, 5, universe),
+      new BasicReduction(2, 0.2, 5, universe),
+      new GreedyTracker(2, universe),
+      new RandomTracker(2, universe, seed = 5L),
+      new DimTracker(2, universe, beta = 1, seed = 6L),
+      new ImmTracker(2, universe, maxRR = 500),
+      new TimPlusTracker(2, universe, maxRR = 500),
+    )
+    def rejects(step: => Unit): Unit = {
+      val e = intercept[IllegalArgumentException](step)
+      assert(e.getMessage.contains(s"(0,$universe)"), e.getMessage)
+    }
+    // Every fourth step, as StreamDriver.run(queryEvery = 4) does: no query
+    // before step s, so no graph is built lazily before the bad batch.
+    def query(t: Int) = (t + 1) % 4 == 0 || t == stream.length - 1
+
+    def replay(batchAtS: Seq[TimedEdge]) = {
+      val loop = new StepLoop(universe, trackers())
+      stream.indices.foreach { t =>
+        if (t == s && batchAtS.nonEmpty) rejects(loop.step(batchAtS, query(t)))
+        loop.step(if (t == s) Nil else stream(t), query(t))
+      }
+      loop.records.view.mapValues(_.map(_.copy(elapsedNanosCum = 0L))).toMap
+    }
+    assert(replay(bad) == replay(Nil))
+
+    // Each tracker alone, outside the loop.
+    def outputs(algo: StreamingInfluenceAlgo, batchAtS: Seq[TimedEdge]) = stream.indices.map { t =>
+      if (t == s && batchAtS.nonEmpty) rejects(algo.observe(batchAtS))
+      algo.observe(if (t == s) Nil else stream(t))
+      val seeds = if (query(t)) algo.querySolution else Nil
+      algo.endStep()
+      (seeds, algo.oracleCalls)
+    }
+    trackers().zip(trackers()).foreach { case (a, b) =>
+      assert(outputs(a, bad) == outputs(b, Nil), a.name)
+    }
   }
 
   test("run produces one record per query step per algorithm") {

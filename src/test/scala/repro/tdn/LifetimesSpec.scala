@@ -5,54 +5,9 @@ import org.apache.spark.sql.functions._
 
 class LifetimesSpec extends SparkSpec {
 
-  test("Fixed assigner returns the window length for every edge") {
-    val a = Lifetimes.Fixed(7)
-    assert((0L until 100L).forall(a(_) == 7))
-    assert(a.maxLifetime == 7)
-  }
-
-  test("Fixed assigner rejects non-positive windows") {
-    intercept[IllegalArgumentException](Lifetimes.Fixed(0))
-  }
-
-  test("Infinite assigner outlives any finite horizon") {
-    val a = Lifetimes.Infinite()
-    assert(a(0L) > 1000000)
-  }
-
-  test("Geometric assigner is deterministic in (seed, edgeIndex)") {
-    val a = Lifetimes.Geometric(0.1, 100, seed = 5L)
-    val b = Lifetimes.Geometric(0.1, 100, seed = 5L)
-    assert((0L until 200L).map(a(_)) == (0L until 200L).map(b(_)))
-  }
-
-  test("Geometric assigner respects bounds 1..L") {
-    val a = Lifetimes.Geometric(0.01, 50, seed = 1L)
-    val ls = (0L until 2000L).map(a(_))
-    assert(ls.forall(l => l >= 1 && l <= 50))
-    assert(ls.contains(50)) // truncation actually hits with p=0.01
-  }
-
-  test("Geometric assigner rejects out-of-range p") {
-    intercept[IllegalArgumentException](Lifetimes.Geometric(0.0, 10, 1L))
-    intercept[IllegalArgumentException](Lifetimes.Geometric(1.0, 10, 1L))
-  }
-
-  test("Geometric mean is close to 1/p when truncation is loose") {
-    val p = 0.2
-    val a = Lifetimes.Geometric(p, 1000, seed = 9L)
-    val n = 20000
-    val mean = (0L until n.toLong).map(a(_)).sum.toDouble / n
-    assert(math.abs(mean - 1.0 / p) < 0.15, s"mean=$mean expected ~${1 / p}")
-  }
-
-  test("larger p concentrates lifetimes on smaller values") {
-    val small = Lifetimes.Geometric(0.02, 1000, 3L)
-    val big   = Lifetimes.Geometric(0.3, 1000, 3L)
-    val n     = 5000
-    val meanSmall = (0L until n.toLong).map(small(_)).sum.toDouble / n
-    val meanBig   = (0L until n.toLong).map(big(_)).sum.toDouble / n
-    assert(meanBig < meanSmall)
+  test("geometricColumn rejects p outside (0, 1)") {
+    intercept[IllegalArgumentException](Lifetimes.geometricColumn(0.0, 10, 1L))
+    intercept[IllegalArgumentException](Lifetimes.geometricColumn(1.0, 10, 1L))
   }
 
   test("Spark geometric column stays within 1..L and matches the local mean") {
