@@ -42,7 +42,21 @@ final class BasicReduction(
     // reaching its cutoff.
     val capped   = batch.map(e => if (e.lifetime > maxLifetime) e.copy(lifetime = maxLifetime) else e)
     val arrivals = SieveAdn.addTo(tdn, graph, capped)
-    if (arrivals.nonEmpty) instances.foreach(_.feed(arrivals))
+    if (arrivals.isEmpty) return
+    // A_i sees an arrival iff before < t + i ≤ after, so only the instances
+    // with cutoff in (min before, max after] can see any: feed just those.
+    var lo = Int.MaxValue
+    var hi = Int.MinValue
+    var a  = 0
+    while (a < arrivals.length) {
+      lo = math.min(lo, arrivals(a).before)
+      hi = math.max(hi, arrivals(a).after)
+      a += 1
+    }
+    val first = instances.head.cutoff.toLong // instances(j) has cutoff first + j
+    var j     = math.max(0L, lo + 1L - first).toInt
+    val last  = math.min(instances.length - 1L, hi - first).toInt
+    while (j <= last) { instances(j).feed(arrivals); j += 1 }
   }
 
   override def querySolution: Seq[Int] = instances.head.solution

@@ -1,6 +1,5 @@
 package repro.core
 
-import java.util.{BitSet => JBitSet}
 import scala.collection.mutable
 
 /** Lazy greedy (CELF, Minoux's accelerated greedy) for cardinality-constrained
@@ -27,7 +26,7 @@ object CelfGreedy {
     }
 
     val seeds   = mutable.ArrayBuffer.empty[Int]
-    val covered = new JBitSet(g.universe) // reach(seeds)
+    val covered = new Array[Long]((g.universe + 63) >>> 6) // reach(seeds), as bit words
     var value   = 0
     var round   = 0
 
@@ -43,7 +42,7 @@ object CelfGreedy {
       } else {
         counter.inc()
         // A covered node's reach is covered too: its gain is 0 unsearched.
-        val gain = if (covered.get(node)) 0 else Digraph.countMissing(g.reachOf(node), covered)
+        val gain = if (Digraph.has(covered, node)) 0 else Digraph.countMissing(g.reachOf(node), covered)
         // A zero gain can only stay zero (submodularity): drop the node, so
         // a fresh top always gains and S stops where naive greedy stops.
         if (gain > 0) heap.push(gain, node, round)

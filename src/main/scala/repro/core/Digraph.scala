@@ -190,20 +190,45 @@ final class Digraph(val universe: Int) {
 
 object Digraph {
 
+  // Node sets as bit words: node v is bit v & 63 of s(v >>> 6), and a node
+  // past the last word is absent. CELF's covered set spans the universe; a
+  // sieve's reach(S) ends at its highest node's word (see [[fit]]).
+
+  /** Whether node v is in the word set `s`. */
+  def has(s: Array[Long], v: Int): Boolean = {
+    val w = v >>> 6
+    w < s.length && (s(w) & 1L << v) != 0L
+  }
+
   /** |r \ s|: how many nodes of `r` are not in `s`. */
-  def countMissing(r: Array[Int], s: JBitSet): Int = {
+  def countMissing(r: Array[Int], s: Array[Long]): Int = {
     var n = 0
     var i = 0
-    while (i < r.length) { if (!s.get(r(i))) n += 1; i += 1 }
+    while (i < r.length) { if (!has(s, r(i))) n += 1; i += 1 }
     n
   }
 
-  /** s ∪= r, returning |r \ s| before the union: how much `s` grew. */
-  def addAll(r: Array[Int], s: JBitSet): Int = {
+  /** `s`, or a copy of it lengthened to exactly the word of r's highest node
+    * when `s` ends before that word: the set [[addAll]] can add `r` to.
+    */
+  def fit(s: Array[Long], r: Array[Int]): Array[Long] = {
+    var top = -1
+    var i   = 0
+    while (i < r.length) { if (r(i) > top) top = r(i); i += 1 }
+    val n = (top >> 6) + 1
+    if (n > s.length) java.util.Arrays.copyOf(s, n) else s
+  }
+
+  /** s ∪= r, for an `s` that holds r's highest node's word, returning
+    * |r \ s| before the union: how much `s` grew.
+    */
+  def addAll(r: Array[Int], s: Array[Long]): Int = {
     var n = 0
     var i = 0
     while (i < r.length) {
-      if (!s.get(r(i))) { s.set(r(i)); n += 1 }
+      val w = r(i) >>> 6
+      val b = 1L << r(i)
+      if ((s(w) & b) == 0L) { s(w) |= b; n += 1 }
       i += 1
     }
     n

@@ -56,7 +56,7 @@ final class HistApprox(
     * Returns every live instance's output, in index order, for
     * ReduceRedundancy.
     */
-  private def processEdges(c: Int, arrivals: Seq[SieveAdn.Arrival]): Array[Int] = {
+  private def processEdges(c: Int, arrivals: Array[SieveAdn.Arrival]): Array[Int] = {
     var p = 0 // instances before p have cutoff < c
     while (p < insts.length && insts(p).cutoff < c) p += 1
     val exists = p < insts.length && insts(p).cutoff == c

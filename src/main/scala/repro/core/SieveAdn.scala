@@ -1,6 +1,5 @@
 package repro.core
 
-import java.util.{BitSet => JBitSet}
 import repro.tdn.{Tdn, TimedEdge}
 
 /** SieveADN (Alg. 1): streaming influence maximization over an addition-only
@@ -72,11 +71,14 @@ final class SieveAdn private[core] (
     val lo = math.ceil(math.log(deltaMax.toDouble) / logBase - 1e-9).toInt
     val hi = floorExp(2.0 * k * deltaMax)
     if (lo != base || hi - lo + 1 != sieves.length) {
-      val old = sieves
-      sieves = Array.tabulate(hi - lo + 1) { j =>
+      val slid = new Array[Sieve](hi - lo + 1)
+      var j    = 0
+      while (j < slid.length) {
         val o = lo + j - base
-        if (o >= 0 && o < old.length) old(o) else new Sieve(k)
+        slid(j) = if (o >= 0 && o < sieves.length) sieves(o) else new Sieve(k)
+        j += 1
       }
+      sieves = slid
       base = lo
     }
   }
@@ -114,17 +116,25 @@ final class SieveAdn private[core] (
   /** Feed the edges of a batch just added to the shared graph that this
     * instance has not seen and now sees.
     */
-  private[core] def feed(arrivals: Seq[SieveAdn.Arrival]): Unit = {
-    def sees(a: SieveAdn.Arrival) = a.before < cutoff && cutoff <= a.after
-    val n = arrivals.count(sees)
+  private[core] def feed(arrivals: Array[SieveAdn.Arrival]): Unit = {
+    var n = 0
+    var i = 0
+    while (i < arrivals.length) { if (sees(arrivals(i))) n += 1; i += 1 }
     if (n > 0) {
       val us = new Array[Int](n)
       val vs = new Array[Int](n)
       var e  = 0
-      arrivals.foreach(a => if (sees(a)) { us(e) = a.u; vs(e) = a.v; e += 1 })
+      i = 0
+      while (i < arrivals.length) {
+        val a = arrivals(i)
+        if (sees(a)) { us(e) = a.u; vs(e) = a.v; e += 1 }
+        i += 1
+      }
       update(us, vs)
     }
   }
+
+  private def sees(a: SieveAdn.Arrival): Boolean = a.before < cutoff && cutoff <= a.after
 
   /** Steps 2–5 for the inserted edges (us(e), vs(e)): distinct edges,
     * without self-loops, that are in the graph with expiry ≥ `cutoff` and
@@ -166,7 +176,7 @@ final class SieveAdn private[core] (
       if (s.size > 0) {
         e = 0
         while (e < us.length) {
-          if (s.reach.get(us(e)) && !s.reach.get(vs(e))) s.add(vReach(e))
+          if (s.has(us(e)) && !s.has(vs(e))) s.add(vReach(e))
           e += 1
         }
       }
@@ -240,22 +250,25 @@ object SieveAdn {
   private[core] final case class Arrival(u: Int, v: Int, before: Int, after: Int)
 
   /** Add `batch` to `tdn`, whose live graph is `graph`, and return its arrivals. */
-  private[core] def addTo(tdn: Tdn, graph: Digraph, batch: Seq[TimedEdge]): Seq[Arrival] = {
+  private[core] def addTo(tdn: Tdn, graph: Digraph, batch: Seq[TimedEdge]): Array[Arrival] = {
     tdn.check(batch)
-    val pairs  = batch.iterator.filter(e => e.u != e.v).map(e => (e.u, e.v)).distinct.toVector
+    val pairs  = batch.iterator.filter(e => e.u != e.v).map(e => (e.u, e.v)).distinct.toArray
     val before = pairs.map { case (u, v) => graph.expiryOf(u, v) }
     tdn.add(batch)
-    pairs.lazyZip(before).map { case ((u, v), b) => Arrival(u, v, b, graph.expiryOf(u, v)) }
+    pairs.zip(before).map { case ((u, v), b) => Arrival(u, v, b, graph.expiryOf(u, v)) }
   }
 
   /** One threshold's sieve set S_θ, members(0 until size), with
-    * exactly-maintained f(S_θ) = value = |reach(S_θ)|.
+    * exactly-maintained f(S_θ) = value = |reach(S_θ)|. reach(S_θ) is held as
+    * bit words (see [[Digraph.has]]) that end at the word of the highest
+    * node reached: a union that reaches past them lengthens them once, to
+    * exactly that word.
     */
-  private final class Sieve(k: Int) {
-    val members        = new Array[Int](k)
-    var size           = 0
-    var reach: JBitSet = new JBitSet(0)
-    var value          = 0
+  private[core] final class Sieve(k: Int) {
+    val members = new Array[Int](k)
+    var size    = 0
+    var words   = Array.emptyLongArray
+    var value   = 0
 
     def seeds: Seq[Int] = members.take(size).toSeq
 
@@ -265,29 +278,28 @@ object SieveAdn {
       i < size
     }
 
+    /** Whether v ∈ reach(S). */
+    def has(v: Int): Boolean = Digraph.has(words, v)
+
     /** Whether δ_S(v) = |r \ reach(S)| ≥ need, for v's reach-set r. Counts
       * only until the answer is known; a v in reach(S) has all of r there.
       */
     def gainMeets(v: Int, r: Array[Int], need: Int): Boolean = {
-      if (reach.get(v)) return need <= 0
+      if (has(v)) return need <= 0
       val n = r.length
       var g = 0
       var i = 0
       while (i < n && g < need && g + n - i >= need) {
-        if (!reach.get(r(i))) g += 1
+        if (!has(r(i))) g += 1
         i += 1
       }
       g >= need
     }
 
-    /** reach(S) ∪= r, keeping `value` exact. A union that grows the bitset
-      * is re-trimmed (`clone` trims), since in-place growth doubles its
-      * words; so the words always end at the highest node reached.
-      */
+    /** reach(S) ∪= r, keeping `value` exact. */
     def add(r: Array[Int]): Unit = {
-      val bits = reach.size
-      value += Digraph.addAll(r, reach)
-      if (reach.size != bits) reach = reach.clone().asInstanceOf[JBitSet]
+      words = Digraph.fit(words, r)
+      value += Digraph.addAll(r, words)
     }
 
     /** Take v, with reach-set r, into S. */
@@ -301,7 +313,7 @@ object SieveAdn {
       val s = new Sieve(members.length)
       System.arraycopy(members, 0, s.members, 0, size)
       s.size = size
-      s.reach = reach.clone().asInstanceOf[JBitSet]
+      s.words = words.clone()
       s.value = value
       s
     }

@@ -50,6 +50,19 @@ class BasicReductionSpec extends AnyFunSuite {
     assert(algo.instance(4).currentValue == 2 && algo.instance(2).currentValue == 4)
   }
 
+  test("an edge whose expiry rises from b to a reaches exactly the instances with cutoff in (b, a]") {
+    val one = new OracleCounter // what feeding one empty instance the edge costs
+    new SieveAdn(2, 0.1, 10, one).process(Seq((0, 1)))
+    val algo = new BasicReduction(2, 0.1, maxLifetime = 8, universe = 10)
+    algo.observe(Seq(TimedEdge(0, 1, 3))) // t = 0: expiry b = 3
+    algo.endStep()                        // t = 1: A_i has cutoff 1 + i
+    assert((1 to 8).map(algo.instance(_).delta) == Seq(2, 2, 0, 0, 0, 0, 0, 0))
+    val calls = algo.oracleCalls
+    algo.observe(Seq(TimedEdge(0, 1, 6))) // expiry a = 7: cutoffs 4..7 are A_3..A_6
+    assert((1 to 8).map(algo.instance(_).delta) == Seq(2, 2, 2, 2, 2, 2, 0, 0))
+    assert(algo.oracleCalls - calls == 4 * one.calls)
+  }
+
   test("shifting: instance A_{i} at t becomes A_{i-1} at t+1, new tail is empty") {
     val algo = new BasicReduction(2, 0.1, maxLifetime = 3, universe = 10)
     algo.observe(Seq(TimedEdge(0, 1, 3)))

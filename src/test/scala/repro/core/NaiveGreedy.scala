@@ -1,6 +1,5 @@
 package repro.core
 
-import java.util.{BitSet => JBitSet}
 import scala.collection.mutable
 
 /** Plain (non-lazy) greedy — test oracle for CELF's equivalence. */
@@ -8,7 +7,7 @@ object NaiveGreedy {
 
   def select(g: Digraph, k: Int, counter: OracleCounter): (Seq[Int], Int) = {
     val seeds   = mutable.ArrayBuffer.empty[Int]
-    val covered = new JBitSet(g.universe)
+    val covered = new Array[Long]((g.universe + 63) >>> 6)
     var value   = 0
     val nodes   = g.nodeArray
     while (seeds.length < k) {
