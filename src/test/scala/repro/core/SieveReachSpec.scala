@@ -45,15 +45,4 @@ class SieveReachSpec extends AnyFunSuite {
     }
     assert(grew > 0 && kept > 0, s"$grew adds grew the words, $kept did not")
   }
-
-  test("a copy stays independent when either side grows within its words") {
-    val a = new Sieve(2)
-    a.add(Array(3, 70))
-    val b = a.copySieve()
-    a.add(Array(5))
-    b.add(Array(65))
-    assert(a.has(5) && !a.has(65) && a.value == 3)
-    assert(b.has(65) && !b.has(5) && b.value == 3)
-    assert(a.words.length == 2 && b.words.length == 2)
-  }
 }
