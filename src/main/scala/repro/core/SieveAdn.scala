@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.collection.mutable
 import repro.tdn.{Tdn, TimedEdge}
 
 /** SieveADN (Alg. 1): streaming influence maximization over an addition-only
@@ -22,16 +23,23 @@ import repro.tdn.{Tdn, TimedEdge}
   *  3. evaluate f({v}) for each candidate (one oracle call each), keeping
   *     reach(v) as a list of nodes, updating
   *     Δ = max singleton spread, and slide the threshold window
-  *     Θ = {(1+ε)^i/(2k) : (1+ε)^i ∈ [Δ, 2kΔ]} (Alg. 1 lines 4–7): one sieve
-  *     per exponent i, held contiguously from the window's low end; as Δ
-  *     grows, sieves below the new low end drop and empty ones open above;
-  *  4. update every sieve's cached reach(S_θ)/f(S_θ) *incrementally*: a new
-  *     edge (u,v) extends reach(S) iff u ∈ reach(S), in which case
+  *     Θ = {(1+ε)^i/(2k) : (1+ε)^i ∈ [Δ, 2kΔ]} (Alg. 1 lines 4–7). The sieves
+  *     are held as runs: a run is a range of consecutive exponents [a, b]
+  *     whose sieves hold the same S, kept as one [[SieveAdn.Sieve]] tagged
+  *     with a, in ascending order up to the window's top exponent. As Δ
+  *     grows, runs below the new low end drop, the first is trimmed to it,
+  *     and the empty sieves opening above join an empty last run;
+  *  4. update every run's cached reach(S_θ)/f(S_θ) *incrementally*, once per
+  *     run: a new edge (u,v) extends reach(S) iff u ∈ reach(S), in which case
   *     reach(S) ∪= reach(v) — the candidate reach-sets from step 3 are reused,
   *     so this is exact set algebra with no further oracle calls;
   *  5. sieve each candidate into every non-full threshold set whose θ its
-  *     marginal gain |reach(v) \ reach(S)| meets, counted over the list
-  *     (one oracle call per evaluation, Alg. 1 lines 8–11).
+  *     marginal gain |reach(v) \ reach(S)| meets (Alg. 1 lines 8–11). The
+  *     gain is counted over the list once per run, and acceptance is monotone
+  *     in θ, so the run [a, b] splits at the highest exponent m whose ⌈θ_m⌉
+  *     the gain meets: [a, m] takes v, [m+1, b] keeps a copy of the old S. A
+  *     run still counts one oracle call per sieve it stands for, the
+  *     evaluations Alg. 1 makes.
   *
   * The oracle-call ledger therefore counts exactly the f evaluations the
   * paper's complexity analysis counts: O(b · ε⁻¹ log k) per batch (Theorem 3).
@@ -53,34 +61,40 @@ final class SieveAdn private[core] (
 
   val universe: Int        = graph.universe
   private var deltaMax: Int = 0 // Δ: max singleton spread seen
-  private var sieves        = Array.empty[Sieve] // sieves(j) is S_θi for exponent i = base + j
-  private var base          = 0
-  private val logBase       = math.log1p(eps)
+  // Runs ascending: runs(j) is S_θi for every exponent i from runs(j).first
+  // up to last(j).
+  private val runs    = mutable.ArrayBuffer.empty[Sieve]
+  private var top     = 0 // the window's highest exponent
+  private val logBase = math.log1p(eps)
 
-  /** θ_i = (1+ε)^i / (2k). */
-  private def thetaOf(i: Int): Double = math.pow(1.0 + eps, i) / (2.0 * k)
+  /** ⌈θ_i⌉ for θ_i = (1+ε)^i / (2k): the least gain sieve i accepts. */
+  private def need(i: Int): Int = math.ceil(math.pow(1.0 + eps, i) / (2.0 * k)).toInt
+
+  /** The highest exponent of run j. */
+  private def last(j: Int): Int = if (j + 1 < runs.length) runs(j + 1).first - 1 else top
 
   /** Largest exponent i with (1+ε)^i ≤ x. */
   private def floorExp(x: Double): Int = math.floor(math.log(x) / logBase + 1e-9).toInt
 
   /** Alg. 1 lines 5–7: slide the window to the exponents i with
     * (1+ε)^i ∈ [Δ, 2kΔ], keeping the sieves of exponents still inside it.
+    * Δ only grows, so both ends only rise: the runs wholly below the new low
+    * end drop, the first is trimmed to it, and the exponents above the old
+    * top join the last run if it is empty, or open an empty run otherwise.
     */
   private def refreshThresholds(): Unit = {
     if (deltaMax <= 0) return
     val lo = math.ceil(math.log(deltaMax.toDouble) / logBase - 1e-9).toInt
     val hi = floorExp(2.0 * k * deltaMax)
-    if (lo != base || hi - lo + 1 != sieves.length) {
-      val slid = new Array[Sieve](hi - lo + 1)
-      var j    = 0
-      while (j < slid.length) {
-        val o = lo + j - base
-        slid(j) = if (o >= 0 && o < sieves.length) sieves(o) else new Sieve(k)
-        j += 1
-      }
-      sieves = slid
-      base = lo
+    var d  = 0
+    while (d < runs.length && last(d) < lo) d += 1
+    runs.remove(0, d)
+    if (runs.isEmpty) runs += new Sieve(k, lo)
+    else {
+      runs(0).first = lo
+      if (hi > top && runs.last.size > 0) runs += new Sieve(k, top + 1)
     }
+    top = hi
   }
 
   /** Candidate set V̄, ascending: for each newly inserted edge (us(e), vs(e)),
@@ -171,8 +185,8 @@ final class SieveAdn private[core] (
     var e      = 0
     while (e < vs.length) { vReach(e) = candReach(java.util.Arrays.binarySearch(cand, vs(e))); e += 1 }
     var j = 0
-    while (j < sieves.length) {
-      val s = sieves(j)
+    while (j < runs.length) {
+      val s = runs(j)
       if (s.size > 0) {
         e = 0
         while (e < us.length) {
@@ -185,24 +199,49 @@ final class SieveAdn private[core] (
 
     // Sieving pass (Alg. 1 lines 8–11): one oracle call per marginal gain,
     // |r \ reach(S)| counted over the candidate's reach-set r against the
-    // integer threshold ⌈θ⌉.
+    // integer threshold ⌈θ⌉. The sieves of a run hold one S, so the gain is
+    // counted once per run, up to the largest ⌈θ⌉ evaluated and only while it
+    // can still meet the smallest; the call count stays one per sieve.
     // Submodularity pruning: δ_S(v) ≤ f({v}), so thresholds above f({v})
     // are guaranteed rejections — skip them without an oracle call.
     c = 0
     while (c < cand.length) {
-      val v   = cand(c)
-      val rv  = candReach(c)
-      val top = math.min(floorExp(2.0 * k * rv.length) - base, sieves.length - 1)
-      var j   = 0
-      while (j <= top) {
-        val s = sieves(j)
+      val v  = cand(c)
+      val rv = candReach(c)
+      val hv = floorExp(2.0 * k * rv.length)
+      var j  = 0
+      while (j < runs.length && runs(j).first <= hv) {
+        val s = runs(j)
+        val a = s.first
+        val b = math.min(last(j), hv)
         if (s.size < k && !s.contains(v)) {
-          counter.inc()
-          if (s.gainMeets(v, rv, math.ceil(thetaOf(base + j)).toInt)) s.accept(v, rv)
+          counter.add(b - a + 1)
+          val least = need(a)
+          val g     = s.gain(v, rv, need(b), least)
+          if (g >= least) {
+            // Acceptance is monotone in θ: [a, m] takes v, the rest keeps S.
+            var m = b
+            while (need(m) > g) m -= 1
+            if (m < last(j)) {
+              val rest = s.copySieve()
+              rest.first = m + 1
+              runs.insert(j + 1, rest)
+              j += 1
+            }
+            s.accept(v, rv)
+          }
         }
         j += 1
       }
       c += 1
+    }
+
+    // A run that took the same candidates, in the same order, as the run
+    // below it holds the same S again: merge it into that run.
+    j = runs.length - 1
+    while (j > 0) {
+      if (runs(j).sameMembers(runs(j - 1))) runs.remove(j)
+      j -= 1
     }
   }
 
@@ -212,16 +251,23 @@ final class SieveAdn private[core] (
   def currentValue: Int = {
     var best = 0
     var j    = 0
-    while (j < sieves.length) { if (sieves(j).value > best) best = sieves(j).value; j += 1 }
+    while (j < runs.length) { if (runs(j).value > best) best = runs(j).value; j += 1 }
     best
   }
 
   /** The best sieve set S_{θ*}; ties go to the lowest θ. */
   def solution: Seq[Int] =
-    if (sieves.isEmpty) Nil else sieves.maxBy(_.value).seeds
+    if (runs.isEmpty) Nil else runs.maxBy(_.value).seeds
 
   /** Number of live threshold sets |Θ| (for complexity tests). */
-  def thresholdCount: Int = sieves.length
+  def thresholdCount: Int = if (runs.isEmpty) 0 else top - runs(0).first + 1
+
+  /** Number of runs holding the |Θ| sieves. */
+  private[core] def runCount: Int = runs.length
+
+  /** Each live exponent i, ascending, with the members of S_θi. */
+  private[core] def seedsByExponent: Seq[(Int, Seq[Int])] =
+    runs.indices.flatMap(j => (runs(j).first to last(j)).map(i => (i, runs(j).seeds)))
 
   /** Current Δ (max singleton spread observed). */
   def delta: Int = deltaMax
@@ -235,8 +281,8 @@ final class SieveAdn private[core] (
     require(cutoff < this.cutoff, s"copy cutoff $cutoff must be below ${this.cutoff}")
     val c = new SieveAdn(k, eps, counter, graph, cutoff)
     c.deltaMax = deltaMax
-    c.sieves = sieves.map(_.copySieve())
-    c.base = base
+    c.runs ++= runs.map(_.copySieve())
+    c.top = top
     c
   }
 }
@@ -258,13 +304,13 @@ object SieveAdn {
     pairs.zip(before).map { case ((u, v), b) => Arrival(u, v, b, graph.expiryOf(u, v)) }
   }
 
-  /** One threshold's sieve set S_θ, members(0 until size), with
-    * exactly-maintained f(S_θ) = value = |reach(S_θ)|. reach(S_θ) is held as
-    * bit words (see [[Digraph.has]]) that end at the word of the highest
-    * node reached: a union that reaches past them lengthens them once, to
-    * exactly that word.
+  /** A run's sieve set S_θ, members(0 until size), with exactly-maintained
+    * f(S_θ) = value = |reach(S_θ)|, for the exponents from `first` up to the
+    * next run's. reach(S_θ) is held as bit words (see [[Digraph.has]]) that
+    * end at the word of the highest node reached: a union that reaches past
+    * them lengthens them once, to exactly that word.
     */
-  private[core] final class Sieve(k: Int) {
+  private[core] final class Sieve(k: Int, var first: Int) {
     val members = new Array[Int](k)
     var size    = 0
     var words   = Array.emptyLongArray
@@ -278,22 +324,26 @@ object SieveAdn {
       i < size
     }
 
+    def sameMembers(o: Sieve): Boolean =
+      value == o.value && java.util.Arrays.equals(members, 0, size, o.members, 0, o.size)
+
     /** Whether v ∈ reach(S). */
     def has(v: Int): Boolean = Digraph.has(words, v)
 
-    /** Whether δ_S(v) = |r \ reach(S)| ≥ need, for v's reach-set r. Counts
-      * only until the answer is known; a v in reach(S) has all of r there.
+    /** δ_S(v) = |r \ reach(S)| for v's reach-set r, counted only up to `cap`
+      * and only while it can still reach `floor`: below `floor`, the result
+      * is some count under it. A v in reach(S) has all of r there.
       */
-    def gainMeets(v: Int, r: Array[Int], need: Int): Boolean = {
-      if (has(v)) return need <= 0
+    def gain(v: Int, r: Array[Int], cap: Int, floor: Int): Int = {
+      if (has(v)) return 0
       val n = r.length
       var g = 0
       var i = 0
-      while (i < n && g < need && g + n - i >= need) {
+      while (i < n && g < cap && g + n - i >= floor) {
         if (!has(r(i))) g += 1
         i += 1
       }
-      g >= need
+      g
     }
 
     /** reach(S) ∪= r, keeping `value` exact. */
@@ -310,7 +360,7 @@ object SieveAdn {
     }
 
     def copySieve(): Sieve = {
-      val s = new Sieve(members.length)
+      val s = new Sieve(members.length, first)
       System.arraycopy(members, 0, s.members, 0, size)
       s.size = size
       s.words = words.clone()

@@ -155,6 +155,19 @@ class SieveAdnSpec extends AnyFunSuite {
     assert(s.graph.edgeCount == 1 && s.currentValue == 2)
   }
 
+  test("sieves holding one S share a run") {
+    val s = new SieveAdn(2, 0.1, 30, new OracleCounter)
+    // 0 reaches 10 nodes: Δ = 10 opens exponents 25..38, and 0 fills them
+    // all. 20 reaches 5, which meets ⌈θ⌉ up to exponent 31 only.
+    s.process((1 to 9).map(v => (0, v)) ++ (21 to 24).map(v => (20, v)))
+    assert(s.thresholdCount == 14 && s.runCount == 2)
+    assert(s.seedsByExponent.map(_._2) == Seq.fill(7)(Seq(0, 20)) ++ Seq.fill(7)(Seq(0)))
+    TestData.randomEdges(30, 90, 31L).grouped(3).foreach { b =>
+      s.process(b)
+      assert(s.runCount <= s.thresholdCount)
+    }
+  }
+
   test("oracle calls grow with candidates, not with universe size") {
     val cBig   = new OracleCounter
     val sBig   = new SieveAdn(2, 0.1, 10000, cBig)

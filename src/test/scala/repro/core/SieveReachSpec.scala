@@ -4,7 +4,9 @@ import scala.collection.mutable
 import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
 
-/** A sieve's reach(S) as bit words, driven beside a `mutable.Set[Int]` model. */
+/** A sieve's reach(S) as bit words, driven beside a `mutable.Set[Int]` model.
+  * A copy carries its source's first exponent.
+  */
 class SieveReachSpec extends AnyFunSuite {
   import SieveAdn.Sieve
 
@@ -16,13 +18,15 @@ class SieveReachSpec extends AnyFunSuite {
     var kept = 0
     for (seed <- 1 to 20) {
       val rnd  = new Random(seed)
-      val sets = mutable.ArrayBuffer((new Sieve(2), mutable.Set.empty[Int]))
+      val sets = mutable.ArrayBuffer((new Sieve(2, seed), mutable.Set.empty[Int]))
       for (step <- 0 until 200) {
         val bound  = 64 * (1 + step / 25) // nodes reach higher words as the run goes on
         val (s, m) = sets(rnd.nextInt(sets.length))
         rnd.nextInt(4) match {
           case 0 if sets.length < 8 =>
-            sets += ((s.copySieve(), m.clone()))
+            val c = s.copySieve()
+            assert(c.first == s.first && (c.words ne s.words), s"seed $seed step $step: copy")
+            sets += ((c, m.clone()))
           case 1 =>
             val v = rnd.nextInt(bound + 128)
             assert(s.has(v) == m(v), s"seed $seed step $step: probe $v")
