@@ -31,11 +31,11 @@ class SieveAdnRunsSpec extends AnyFunSuite {
   test("stand-alone instances agree with the per-sieve reference after every batch") {
     var split = 0
     for (seed <- 1 to 80) {
-      val rnd               = new Random(seed)
+      val rnd                = new Random(seed)
       val (universe, k, eps) = draw(rnd)
-      val (sc, rc)          = (new OracleCounter, new OracleCounter)
-      val s                 = new SieveAdn(k, eps, universe, sc)
-      val r                 = new PerSieveAdn(k, eps, rc, new Digraph(universe), Int.MinValue)
+      val (sc, rc)           = (new OracleCounter, new OracleCounter)
+      val s                  = new SieveAdn(k, eps, universe, sc)
+      val r                  = new PerSieveAdn(k, eps, rc, new Digraph(universe), Int.MinValue)
       for (step <- 0 until 40) {
         val b = batch(rnd, universe)
         s.process(b)
@@ -49,10 +49,10 @@ class SieveAdnRunsSpec extends AnyFunSuite {
 
   test("copies at a lower cutoff, back-filled, agree with copies of the reference") {
     for (seed <- 1 to 80) {
-      val rnd               = new Random(1000 + seed)
+      val rnd                = new Random(1000 + seed)
       val (universe, k, eps) = draw(rnd)
-      val g                 = new Digraph(universe)
-      val (sc, rc)          = (new OracleCounter, new OracleCounter)
+      val g                  = new Digraph(universe)
+      val (sc, rc)           = (new OracleCounter, new OracleCounter)
       // Each pair shares one graph; a copy at cutoff 5 also sees expiry 7.
       val pairs  = mutable.ArrayBuffer((new SieveAdn(k, eps, sc, g, 10), new PerSieveAdn(k, eps, rc, g, 10)))
       val expiry = mutable.Map.empty[(Int, Int), Int]
@@ -75,7 +75,7 @@ class SieveAdnRunsSpec extends AnyFunSuite {
           if (backFill.nonEmpty) feed(copy, backFill, s"back-fill at step $step")
           pairs += copy
         }
-        val x = if (rnd.nextBoolean()) 7 else 10
+        val x        = if (rnd.nextBoolean()) 7 else 10
         val arrivals = batch(rnd, universe).filter(e => e._1 != e._2).distinct.map { case (u, v) =>
           val before = g.expiryOf(u, v)
           g.addEdge(u, v, x)
