@@ -1,11 +1,10 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.experiments.{Defaults, Experiments}
-import repro.stream.InteractionStreams
+import repro.experiments.Experiments
 
-/** Fig. 11 — HistApprox vs Greedy across budgets k (ε = 0.2; paper:
-  * k = 10..100, L = 10K — ours k = 10..100, L = 5000, 400 steps).
+/** Fig. 11 — HistApprox vs Greedy across budgets k (ε = 0.2), at
+  * `Experiments.fig11`'s protocol.
   *
   * Paper shapes asserted: solution quality stays ≳ 0.9 of Greedy across the
   * whole sweep and HistApprox stays cheaper than Greedy. Known deviation
@@ -17,17 +16,8 @@ import repro.stream.InteractionStreams
 class Fig11Bench extends SparkSpec {
 
   test("Fig 11: k sweep") {
-    val rows = Experiments.fig11(
-      spark,
-      Seq(InteractionStreams.twitterHiggs, InteractionStreams.twitterHK),
-      ks = Seq(10, 25, 50, 100),
-      steps = 400, eps = 0.2, maxL = Defaults.maxL, pOf = Defaults.pFor,
-    )
-
-    println("BENCH|Fig11| dataset            k  valRatio  callRatio")
-    rows.foreach { r =>
-      println(f"BENCH|Fig11| ${r.dataset}%-16s ${r.param}%4d ${r.valueRatioToGreedy}%9.3f ${r.callRatioToGreedy}%10.3f")
-    }
+    val rows = Experiments.fig11(spark)
+    Experiments.fig11Lines(rows).foreach(l => println(s"BENCH|Fig11| $l"))
 
     rows.foreach { r =>
       assert(r.valueRatioToGreedy >= 0.85, s"${r.dataset} k=${r.param}: ${r.valueRatioToGreedy}")

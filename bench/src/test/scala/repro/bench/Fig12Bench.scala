@@ -1,12 +1,11 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.experiments.{Defaults, Experiments}
-import repro.stream.InteractionStreams
+import repro.experiments.Experiments
 
-/** Fig. 12 — HistApprox vs Greedy across lifetime caps L (ε = 0.2, k = 10;
-  * paper: L = 10K..100K at p = 0.001 — ours L = 5K..50K at p = 0.002, both
-  * regimes keep L ≫ 1/p so truncation never binds).
+/** Fig. 12 — HistApprox vs Greedy across lifetime caps L (ε = 0.2, k = 10),
+  * at `Experiments.fig12`'s protocol, which keeps L ≫ 1/p so truncation never
+  * binds.
   *
   * Paper shape asserted: L does not affect HistApprox's performance — in our
   * deterministic replay the ratios are bit-identical across L.
@@ -14,17 +13,8 @@ import repro.stream.InteractionStreams
 class Fig12Bench extends SparkSpec {
 
   test("Fig 12: L sweep") {
-    val rows = Experiments.fig12(
-      spark,
-      Seq(InteractionStreams.twitterHiggs, InteractionStreams.twitterHK),
-      ls = Seq(5000, 10000, 20000, 50000),
-      steps = 400, k = 10, eps = 0.2, pOf = Defaults.pFor,
-    )
-
-    println("BENCH|Fig12| dataset            L  valRatio  callRatio")
-    rows.foreach { r =>
-      println(f"BENCH|Fig12| ${r.dataset}%-16s ${r.param}%5d ${r.valueRatioToGreedy}%9.3f ${r.callRatioToGreedy}%10.3f")
-    }
+    val rows = Experiments.fig12(spark)
+    Experiments.fig12Lines(rows).foreach(l => println(s"BENCH|Fig12| $l"))
 
     rows.groupBy(_.dataset).foreach { case (d, rs) =>
       val v = rs.map(_.valueRatioToGreedy)

@@ -1,11 +1,11 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.experiments.{Defaults, Experiments}
+import repro.experiments.Experiments
 
 /** Figs. 13–14 — solution quality and throughput for HistApprox(ε = 0.3),
   * DIM, IMM, TIM+, Random vs Greedy on the four social datasets (k = 10,
-  * queried every step; paper: 10,000 steps — ours 500).
+  * queried every step), at `Experiments.fig13to14`'s protocol.
   *
   * Paper shapes asserted: HistApprox, IMM, TIM+ all find high-quality
   * solutions; DIM is less stable; the static-index methods (IMM/TIM+) have
@@ -17,15 +17,8 @@ import repro.experiments.{Defaults, Experiments}
 class Fig13to14Bench extends SparkSpec {
 
   test("Figs 13-14: quality and throughput across methods") {
-    val rows = Experiments.fig13to14(
-      spark, Defaults.social,
-      steps = 500, k = 10, maxL = Defaults.maxL, pOf = Defaults.pFor,
-    )
-
-    println("BENCH|Fig13to14| dataset              algo          valRatio     edges/s")
-    rows.foreach { r =>
-      println(f"BENCH|Fig13to14| ${r.dataset}%-20s ${r.algo}%-12s ${r.valueRatioToGreedy}%9.3f ${r.throughputEdgesPerSec}%12.1f")
-    }
+    val rows = Experiments.fig13to14(spark)
+    Experiments.fig13to14Lines(rows).foreach(l => println(s"BENCH|Fig13to14| $l"))
 
     rows.groupBy(_.dataset).foreach { case (d, rs) =>
       val by = rs.map(r => r.algo -> r).toMap

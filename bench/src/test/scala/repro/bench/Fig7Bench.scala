@@ -4,8 +4,7 @@ import repro.SparkSpec
 import repro.experiments.{Defaults, Experiments}
 
 /** Fig. 7 — BasicReduction vs HistApprox across lifetime skew p on the LBSN
-  * datasets (ε = 0.1, k = 10; paper: ε = 0.1, k = 10, L = 1000, p ∈
-  * [0.001, 0.008], 5000 steps — ours L = 300, p scaled ×4, 150 steps).
+  * datasets (ε = 0.1, k = 10), at `Experiments.fig7`'s protocol.
   *
   * Paper shapes asserted: HistApprox's value within 2% of BasicReduction's;
   * HistApprox needs ≲ 0.1× the oracle calls; BasicReduction's calls drop as p
@@ -14,16 +13,8 @@ import repro.experiments.{Defaults, Experiments}
 class Fig7Bench extends SparkSpec {
 
   test("Fig 7: BasicReduction vs HistApprox over p") {
-    val ps = Seq(0.004, 0.008, 0.016, 0.032)
-    val rows = Experiments.fig7(
-      spark, Defaults.lbsn, ps,
-      steps = 150, k = 10, eps = 0.1, maxL = 300,
-    )
-
-    println("BENCH|Fig7| dataset          p     basicVal  histVal  valRatio  basicCalls/step  histCalls/step  callRatio")
-    rows.foreach { r =>
-      println(f"BENCH|Fig7| ${r.dataset}%-14s ${r.p}%6.3f ${r.basicValue}%9.1f ${r.histValue}%8.1f ${r.valueRatio}%9.3f ${r.basicCalls}%16.0f ${r.histCalls}%15.0f ${r.callRatio}%10.3f")
-    }
+    val rows = Experiments.fig7(spark)
+    Experiments.fig7Lines(rows).foreach(l => println(s"BENCH|Fig7| $l"))
 
     rows.foreach { r =>
       assert(r.valueRatio >= 0.95, s"${r.dataset} p=${r.p}: value ratio ${r.valueRatio} (paper: > 0.98)")

@@ -1,12 +1,10 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.experiments.{Defaults, Experiments}
-import repro.stream.InteractionStreams
+import repro.experiments.Experiments
 
 /** Figs. 8–10 — HistApprox(ε ∈ {0.1, 0.15, 0.2}) vs Greedy vs Random on all
-  * six datasets (k = 10; paper: L = 10K, p = 0.001, 5000 steps — ours
-  * L = 5000, p = 0.002, 1500 steps).
+  * six datasets (k = 10), at `Experiments.fig8to10Rows`' protocol.
   *
   * Paper shapes asserted: Greedy ≥ HistApprox ≫ Random in value (Fig 8);
   * HistApprox within ~8% of Greedy (Fig 9: ratio ≳ 0.9); HistApprox uses a
@@ -15,16 +13,8 @@ import repro.stream.InteractionStreams
 class Fig8to10Bench extends SparkSpec {
 
   test("Figs 8-10: HistApprox vs Greedy vs Random") {
-    val rows = Experiments.fig8to10Rows(
-      spark, InteractionStreams.all,
-      epss = Seq(0.1, 0.15, 0.2),
-      steps = 1500, k = 10, maxL = Defaults.maxL, pOf = Defaults.pFor,
-    )
-
-    println("BENCH|Fig8to10| dataset              eps   histVal  greedyVal  randomVal  valRatio  callRatio")
-    rows.foreach { r =>
-      println(f"BENCH|Fig8to10| ${r.dataset}%-20s ${r.eps}%4.2f ${r.avgHistValue}%8.1f ${r.avgGreedyValue}%10.1f ${r.avgRandomValue}%10.1f ${r.valueRatioToGreedy}%9.3f ${r.callRatioToGreedy}%10.3f")
-    }
+    val rows = Experiments.fig8to10Rows(spark)
+    Experiments.fig8to10Lines(rows).foreach(l => println(s"BENCH|Fig8to10| $l"))
 
     rows.foreach { r =>
       // Fig 8 ordering: Greedy >= Hist >> Random.

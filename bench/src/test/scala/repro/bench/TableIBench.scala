@@ -7,17 +7,14 @@ import repro.stream.InteractionStreams
 /** Table I — summary of interaction datasets (paper vs 1/100-scale synthetics).
   *
   * Regenerate: `sbt "bench/testOnly repro.bench.TableIBench"` or
-  * `spark-submit --class repro.jobs.RunTableI`.
+  * `sbt "runMain repro.jobs.RunExhibit table-i"`.
   */
 class TableIBench extends SparkSpec {
 
   test("Table I: dataset summary — paper vs synthetic (1/100 scale)") {
     val rows = Experiments.tableI(spark)
 
-    println("BENCH|TableI| dataset              paperNodes  paperInter   oursNodes   oursInter")
-    rows.foreach { r =>
-      println(f"BENCH|TableI| ${r.dataset}%-20s ${r.paperNodes}%10d ${r.paperInteractions}%11d ${r.nodes}%11d ${r.interactions}%11d")
-    }
+    Experiments.tableILines(rows).foreach(l => println(s"BENCH|TableI| $l"))
 
     assert(rows.size == 6, "all six datasets are generated")
     rows.foreach { r =>

@@ -3,12 +3,13 @@ package repro.experiments
 import repro.stream.InteractionStreams
 import repro.stream.InteractionStreams.StreamSpec
 
-/** Shared experiment parameters (jobs and benches must agree so EXPERIMENTS.md
-  * numbers are regenerable from either entry point).
+/** Parameters shared by several exhibits' protocols. The protocols themselves
+  * are the default arguments of the `Experiments` functions, which the jobs
+  * and the benches both call, so the two agree by construction.
   *
-  * The per-dataset decay rate p targets a moderately dense alive graph
-  * (alive edges ≈ perStep / p comparable to the node universe), mirroring the
-  * sparsity regime of the paper's runs (their p = 0.001 at 1 edge/step).
+  * The decay rate p targets a moderately dense alive graph (alive edges ≈
+  * perStep / p comparable to the node universe), mirroring the sparsity
+  * regime of the paper's runs (their p = 0.001 at 1 edge/step).
   */
 object Defaults {
 
@@ -17,11 +18,16 @@ object Defaults {
 
   /** Geometric decay rate (paper: Geo(0.001) truncated at L = 10K; ours is
     * scaled so the alive graph holds a few hundred interactions at 1/step).
+    * One p for every dataset; it is a function of the spec because that is
+    * the `pOf` argument's shape.
     */
   def pFor(spec: StreamSpec): Double = 0.002
 
   /** LBSN datasets (Fig. 7 uses these two, as the paper does). */
   val lbsn: Seq[StreamSpec] = Seq(InteractionStreams.brightkite, InteractionStreams.gowalla)
+
+  /** The two Twitter datasets (Figs. 11–12 sweep these). */
+  val twitter: Seq[StreamSpec] = Seq(InteractionStreams.twitterHiggs, InteractionStreams.twitterHK)
 
   /** The four non-bipartite datasets used for the heavier sweeps. */
   val social: Seq[StreamSpec] = Seq(

@@ -8,14 +8,17 @@ import repro.stream.InteractionStreams.StreamSpec
 import repro.stream.StreamDriver.StepRecord
 import repro.tdn.Lifetimes
 
-/** The paper's evaluation (§V) as reusable experiment functions: each figure /
-  * table has one function returning plain result rows, shared by the
-  * spark-submit jobs in `jobs/` and the bench suites in `bench/`.
+/** The paper's evaluation (§V), one definition per exhibit: each table /
+  * figure has one function returning plain result rows, whose default
+  * arguments are the exhibit's protocol, and one `...Lines` renderer that
+  * prints them. `jobs/RunExhibit` and the bench suites in `bench/` both call
+  * these two, so they run and print the same tables.
   *
   * Scale note (DESIGN.md §5): datasets are ~1/100 of the paper's and horizons
-  * are 100–400 steps instead of 5,000–10,000, with the paper's parameter
-  * ratios preserved. Comparisons are shape-level: who wins, by roughly what
-  * factor, where the trends point.
+  * are 150 (Fig 7), 1500 (Figs 8–10), 400 (Figs 11–12) and 500 (Figs 13–14)
+  * steps instead of 5,000–10,000, with the paper's parameter ratios preserved.
+  * Comparisons are shape-level: who wins, by roughly what factor, where the
+  * trends point.
   */
 object Experiments {
 
@@ -78,6 +81,11 @@ object Experiments {
     }
   }
 
+  def tableILines(rows: Seq[TableIRow]): Seq[String] =
+    "dataset              paperNodes  paperInter   oursNodes   oursInter" +: rows.map { r =>
+      f"${r.dataset}%-20s ${r.paperNodes}%10d ${r.paperInteractions}%11d ${r.nodes}%11d ${r.interactions}%11d"
+    }
+
   // ------------------------------------------------------------------ Fig 7
 
   final case class Fig7Row(
@@ -93,16 +101,18 @@ object Experiments {
   }
 
   /** Fig. 7: BasicReduction vs HistApprox across lifetime skew p
-    * (avg solution value and avg oracle calls per step).
+    * (avg solution value and avg oracle calls per step). Paper: ε = 0.1,
+    * k = 10, L = 1000, p ∈ [0.001, 0.008], 5000 steps; ours L = 300, p scaled
+    * ×4, 150 steps.
     */
   def fig7(
       spark: SparkSession,
-      specs: Seq[StreamSpec],
-      ps: Seq[Double],
-      steps: Int,
-      k: Int,
-      eps: Double,
-      maxL: Int,
+      specs: Seq[StreamSpec] = Defaults.lbsn,
+      ps: Seq[Double] = Seq(0.004, 0.008, 0.016, 0.032),
+      steps: Int = 150,
+      k: Int = 10,
+      eps: Double = 0.1,
+      maxL: Int = 300,
   ): Seq[Fig7Row] =
     for {
       spec <- specs
@@ -122,6 +132,11 @@ object Experiments {
       )
     }
 
+  def fig7Lines(rows: Seq[Fig7Row]): Seq[String] =
+    "dataset          p     basicVal  histVal  valRatio  basicCalls/step  histCalls/step  callRatio" +: rows.map { r =>
+      f"${r.dataset}%-14s ${r.p}%6.3f ${r.basicValue}%9.1f ${r.histValue}%8.1f ${r.valueRatio}%9.3f ${r.basicCalls}%16.0f ${r.histCalls}%15.0f ${r.callRatio}%10.3f"
+    }
+
   // ------------------------------------------------------------ Figs 8 - 10
 
   final case class Fig8Row(
@@ -138,15 +153,17 @@ object Experiments {
     * HistApprox in its own run over the same batches, since a run keys its
     * records by tracker name. The trackers and the ground truth are
     * deterministic and independent of each other, so the split changes no row.
+    * Paper: k = 10, L = 10K, p = 0.001, 5000 steps; ours L = 5000, p = 0.002,
+    * 1500 steps.
     */
   def fig8to10Rows(
       spark: SparkSession,
-      specs: Seq[StreamSpec],
-      epss: Seq[Double],
-      steps: Int,
-      k: Int,
-      maxL: Int,
-      pOf: StreamSpec => Double,
+      specs: Seq[StreamSpec] = InteractionStreams.all,
+      epss: Seq[Double] = Seq(0.1, 0.15, 0.2),
+      steps: Int = 1500,
+      k: Int = 10,
+      maxL: Int = Defaults.maxL,
+      pOf: StreamSpec => Double = Defaults.pFor,
   ): Seq[Fig8Row] =
     specs.flatMap { spec =>
       val batches = batchesFor(spark, spec, steps, pOf(spec), maxL)
@@ -167,6 +184,11 @@ object Experiments {
           callRatioToGreedy = callRatio(h, g),
         )
       }
+    }
+
+  def fig8to10Lines(rows: Seq[Fig8Row]): Seq[String] =
+    "dataset              eps   histVal  greedyVal  randomVal  valRatio  callRatio" +: rows.map { r =>
+      f"${r.dataset}%-20s ${r.eps}%4.2f ${r.avgHistValue}%8.1f ${r.avgGreedyValue}%10.1f ${r.avgRandomValue}%10.1f ${r.valueRatioToGreedy}%9.3f ${r.callRatioToGreedy}%10.3f"
     }
 
   // ------------------------------------------------------------ Figs 11, 12
@@ -197,29 +219,44 @@ object Experiments {
     SweepRow(spec.name, param, valueRatio(h, g), callRatio(h, g))
   }
 
-  /** Fig. 11: HistApprox vs Greedy across budgets k (ε, L fixed). */
+  /** A sweep's table; the swept value is printed `width` wide under `param`. */
+  private def sweepLines(param: String, width: Int)(rows: Seq[SweepRow]): Seq[String] =
+    s"dataset            $param  valRatio  callRatio" +: rows.map { r =>
+      s"%-16s %${width}d %9.3f %10.3f".format(r.dataset, r.param, r.valueRatioToGreedy, r.callRatioToGreedy)
+    }
+
+  /** Fig. 11: HistApprox vs Greedy across budgets k (ε, L fixed). Paper:
+    * k = 10..100, L = 10K; ours k = 10..100, L = 5000, 400 steps.
+    */
   def fig11(
       spark: SparkSession,
-      specs: Seq[StreamSpec],
-      ks: Seq[Int],
-      steps: Int,
-      eps: Double,
-      maxL: Int,
-      pOf: StreamSpec => Double,
+      specs: Seq[StreamSpec] = Defaults.twitter,
+      ks: Seq[Int] = Seq(10, 25, 50, 100),
+      steps: Int = 400,
+      eps: Double = 0.2,
+      maxL: Int = Defaults.maxL,
+      pOf: StreamSpec => Double = Defaults.pFor,
   ): Seq[SweepRow] =
     for { spec <- specs; k <- ks } yield sweepRow(spark, spec, k, steps, k, eps, maxL, pOf(spec))
 
-  /** Fig. 12: HistApprox vs Greedy across lifetime caps L (ε, k fixed). */
+  def fig11Lines(rows: Seq[SweepRow]): Seq[String] = sweepLines("k", 4)(rows)
+
+  /** Fig. 12: HistApprox vs Greedy across lifetime caps L (ε, k fixed).
+    * Paper: L = 10K..100K at p = 0.001; ours L = 5K..50K at p = 0.002, 400
+    * steps. Both keep L ≫ 1/p, so truncation never binds.
+    */
   def fig12(
       spark: SparkSession,
-      specs: Seq[StreamSpec],
-      ls: Seq[Int],
-      steps: Int,
-      k: Int,
-      eps: Double,
-      pOf: StreamSpec => Double,
+      specs: Seq[StreamSpec] = Defaults.twitter,
+      ls: Seq[Int] = Seq(5000, 10000, 20000, 50000),
+      steps: Int = 400,
+      k: Int = 10,
+      eps: Double = 0.2,
+      pOf: StreamSpec => Double = Defaults.pFor,
   ): Seq[SweepRow] =
     for { spec <- specs; l <- ls } yield sweepRow(spark, spec, l, steps, k, eps, l, pOf(spec))
+
+  def fig12Lines(rows: Seq[SweepRow]): Seq[String] = sweepLines("L", 5)(rows)
 
   // ------------------------------------------------------------ Figs 13, 14
 
@@ -232,15 +269,15 @@ object Experiments {
 
   /** Figs. 13–14: quality (value ratio vs Greedy) and throughput for
     * HistApprox(ε=0.3), DIM, IMM, TIM+, Random — all queried every step as in
-    * the paper's throughput setup.
+    * the paper's throughput setup. Paper: k = 10, 10,000 steps; ours 500.
     */
   def fig13to14(
       spark: SparkSession,
-      specs: Seq[StreamSpec],
-      steps: Int,
-      k: Int,
-      maxL: Int,
-      pOf: StreamSpec => Double,
+      specs: Seq[StreamSpec] = Defaults.social,
+      steps: Int = 500,
+      k: Int = 10,
+      maxL: Int = Defaults.maxL,
+      pOf: StreamSpec => Double = Defaults.pFor,
       maxRR: Int = 20000,
   ): Seq[Fig13Row] =
     specs.flatMap { spec =>
@@ -264,5 +301,10 @@ object Experiments {
           throughputEdgesPerSec = StreamDriver.throughputEdgesPerSec(batches, r),
         )
       }
+    }
+
+  def fig13to14Lines(rows: Seq[Fig13Row]): Seq[String] =
+    "dataset              algo          valRatio     edges/s" +: rows.map { r =>
+      f"${r.dataset}%-20s ${r.algo}%-12s ${r.valueRatioToGreedy}%9.3f ${r.throughputEdgesPerSec}%12.1f"
     }
 }

@@ -1,6 +1,8 @@
 package repro.experiments
 
 import repro.SparkSpec
+import repro.experiments.Experiments._
+import repro.jobs.RunExhibit
 import repro.stream.InteractionStreams
 import repro.stream.InteractionStreams.StreamSpec
 
@@ -80,5 +82,57 @@ class ExperimentsSpec extends SparkSpec {
     InteractionStreams.all.foreach { spec =>
       assert(Defaults.maxL > 5.0 / Defaults.pFor(spec) * 0.9, spec.name)
     }
+  }
+
+  // The renderers below are the text `sbt "bench/test"` prints after each
+  // `BENCH|<exhibit>| ` prefix; these run on hand-built rows, without Spark.
+
+  test("tableILines prints the Table I header and rows") {
+    assert(tableILines(Seq(TableIRow("twitter-higgs", 304691L, 563069L, 3047L, 5630L))) == Seq(
+      "dataset              paperNodes  paperInter   oursNodes   oursInter",
+      "twitter-higgs            304691      563069        3047        5630",
+    ))
+  }
+
+  test("fig7Lines prints the Fig 7 header and rows") {
+    assert(fig7Lines(Seq(Fig7Row("gowalla", 0.016, 21.67, 20.13, 1234.4, 98.6))) == Seq(
+      "dataset          p     basicVal  histVal  valRatio  basicCalls/step  histCalls/step  callRatio",
+      "gowalla         0.016      21.7     20.1     0.929             1234              99      0.080",
+    ))
+  }
+
+  test("fig8to10Lines prints the Figs 8-10 header and rows") {
+    val r = Fig8Row("stackoverflow-c2q", 0.15, 45.31, 46.52, 3.14, 0.9731, 0.1182)
+    assert(fig8to10Lines(Seq(r)) == Seq(
+      "dataset              eps   histVal  greedyVal  randomVal  valRatio  callRatio",
+      "stackoverflow-c2q    0.15     45.3       46.5        3.1     0.973      0.118",
+    ))
+  }
+
+  test("fig11Lines and fig12Lines print k four and L five wide") {
+    assert(fig11Lines(Seq(SweepRow("twitter-hk", 25, 0.8961, 0.5042))) == Seq(
+      "dataset            k  valRatio  callRatio",
+      "twitter-hk         25     0.896      0.504",
+    ))
+    assert(fig12Lines(Seq(SweepRow("twitter-hk", 10000, 0.9121, 0.3151))) == Seq(
+      "dataset            L  valRatio  callRatio",
+      "twitter-hk       10000     0.912      0.315",
+    ))
+  }
+
+  test("fig13to14Lines prints the Figs 13-14 header and rows") {
+    assert(fig13to14Lines(Seq(Fig13Row("twitter-higgs", "TIM+", 0.9512, 61.37))) == Seq(
+      "dataset              algo          valRatio     edges/s",
+      "twitter-higgs        TIM+             0.951         61.4",
+    ))
+  }
+
+  test("RunExhibit knows the six exhibits and rejects any other name with the list") {
+    val names = Seq("table-i", "fig7", "fig8to10", "fig11", "fig12", "fig13to14")
+    assert(RunExhibit.exhibits.keys.toSeq == names)
+    names.foreach(n => assert(RunExhibit.exhibit(n) eq RunExhibit.exhibits(n)))
+    val e = intercept[IllegalArgumentException](RunExhibit.exhibit("fig9"))
+    assert(e.getMessage.contains("fig9"))
+    names.foreach(n => assert(e.getMessage.contains(n), e.getMessage))
   }
 }
