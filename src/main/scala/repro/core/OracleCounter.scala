@@ -12,6 +12,6 @@ package repro.core
 final class OracleCounter {
   private var n: Long = 0L
   def inc(): Unit = n += 1
-  def add(calls: Int): Unit = n += calls
+  def add(calls: Long): Unit = n += calls
   def calls: Long = n
 }

@@ -63,6 +63,16 @@ class BasicReductionSpec extends AnyFunSuite {
     assert(algo.oracleCalls - calls == 4 * one.calls)
   }
 
+  test("a repeated pair whose expiry does not rise splits no run and costs no call") {
+    val algo = new BasicReduction(2, 0.1, maxLifetime = 8, universe = 10)
+    algo.observe(Seq(TimedEdge(0, 1, 5), TimedEdge(2, 3, 2)))
+    algo.endStep() // t = 1: (0, 1) has expiry 5
+    val (runs, calls) = (algo.runCount, algo.oracleCalls)
+    algo.observe(Seq(TimedEdge(0, 1, 2), TimedEdge(0, 1, 4))) // expiries 3 and 5
+    assert(algo.runCount == runs)
+    assert(algo.oracleCalls == calls)
+  }
+
   test("shifting: instance A_{i} at t becomes A_{i-1} at t+1, new tail is empty") {
     val algo = new BasicReduction(2, 0.1, maxLifetime = 3, universe = 10)
     algo.observe(Seq(TimedEdge(0, 1, 3)))
