@@ -274,8 +274,8 @@ final class SieveAdn private[core] (
 
   /** A new instance over the same graph and oracle counter at a lower
     * `cutoff`, starting from this one's Δ and sieves — HistApprox instance
-    * creation. It has yet to be fed the edges with expiry in
-    * [cutoff, this.cutoff).
+    * creation, and BasicReduction's run split. It has yet to be fed the
+    * edges with expiry in [cutoff, this.cutoff), of which a split has none.
     */
   private[core] def copyInstance(cutoff: Int): SieveAdn = {
     require(cutoff < this.cutoff, s"copy cutoff $cutoff must be below ${this.cutoff}")
