@@ -24,7 +24,8 @@ import repro.tdn.{Tdn, TimedEdge}
   * by the cutoffs in (b, a]. If the pair was alive, a run already ends at b,
   * so only the run across a + 1 splits, its lower part taking a copy; then
   * every run in (b, a] is fed once. The oracle-call ledger still counts every
-  * instance Alg. 2 runs: a run's update credits its calls once per member.
+  * instance Alg. 2 runs: a run's update credits its calls once per member,
+  * by [[OracleCounter]]'s rule.
   *
   * (1/2 − ε)-approximate (Theorem 4); time/space are L× SieveADN (Theorem 5) —
   * this is the paper's deliberately heavy baseline that HistApprox improves.

@@ -1,7 +1,5 @@
 package repro.core
 
-import java.util.{BitSet => JBitSet}
-
 /** Mutable directed graph over a dense integer node universe `[0, universe)`
   * whose edges carry an expiry time.
   *
@@ -24,6 +22,10 @@ import java.util.{BitSet => JBitSet}
   * the graph, so a search costs the nodes it reaches and the edges it scans,
   * not the universe. A seed outside the universe is rejected.
   *
+  * The graph also keeps which nodes are *sources* (have an out-edge). A
+  * present node that is not one is a *sink*: it reaches only itself. CELF
+  * uses both to price a query by its sources (see [[CelfGreedy]]).
+  *
   * Not thread-safe, not even for reads: every search writes the shared
   * scratch.
   */
@@ -32,17 +34,35 @@ final class Digraph(val universe: Int) {
 
   private val fwd     = new Array[Adj](universe)
   private val rev     = new Array[Adj](universe)
-  private val present = new JBitSet(universe)
+  private val present = new Array[Long]((universe + 63) >>> 6) // node sets as bit words, see [[Digraph.has]]
+  private val sources = new Array[Long]((universe + 63) >>> 6) // nodes with an out-edge
   private var edges   = 0
 
   /** Number of distinct (u, v) edges. */
   def edgeCount: Int = edges
 
   /** Number of nodes that appear as an endpoint of at least one edge. */
-  def nodeCount: Int = present.cardinality()
+  def nodeCount: Int = Digraph.size(present)
 
   /** Nodes present in the graph, ascending. */
-  def nodeArray: Array[Int] = present.stream().toArray
+  def nodeArray: Array[Int] = Digraph.members(present)
+
+  /** Nodes with an out-edge, ascending. */
+  def sourceArray: Array[Int] = Digraph.members(sources)
+
+  /** The greatest present node ≤ v without out-edges, or −1 if there is none;
+    * −1 ≤ v < universe.
+    */
+  def prevSink(v: Int): Int = {
+    if (v < 0) return -1
+    var w    = v >>> 6
+    var bits = present(w) & ~sources(w) & -1L >>> (63 - (v & 63))
+    while (bits == 0L && w > 0) {
+      w -= 1
+      bits = present(w) & ~sources(w)
+    }
+    if (bits == 0L) -1 else w << 6 | 63 - java.lang.Long.numberOfLeadingZeros(bits)
+  }
 
   /** Throws IllegalArgumentException unless u and v are in the universe. */
   def checkEdge(u: Int, v: Int): Unit =
@@ -75,8 +95,9 @@ final class Digraph(val universe: Int) {
     } else {
       fwd(u).add(v, expiry)
       rev(v).add(u, expiry)
-      present.set(u)
-      present.set(v)
+      Digraph.add(present, u)
+      Digraph.add(present, v)
+      Digraph.add(sources, u)
       edges += 1
       true
     }
@@ -92,8 +113,9 @@ final class Digraph(val universe: Int) {
       a.remove(i)
       rev(v).remove(rev(v).indexOf(u))
       edges -= 1
-      if (a.n == 0 && (rev(u) == null || rev(u).n == 0)) present.clear(u)
-      if (rev(v).n == 0 && (fwd(v) == null || fwd(v).n == 0)) present.clear(v)
+      if (a.n == 0) Digraph.remove(sources, u)
+      if (a.n == 0 && (rev(u) == null || rev(u).n == 0)) Digraph.remove(present, u)
+      if (rev(v).n == 0 && (fwd(v) == null || fwd(v).n == 0)) Digraph.remove(present, v)
     }
   }
 
@@ -129,10 +151,11 @@ final class Digraph(val universe: Int) {
     visit(s)
   }
 
-  /** The one search: BFS over `adj` from the seeds marked since [[restart]],
-    * along edges with expiry ≥ `from`. Leaves the reached nodes, seeds first,
-    * in found(0 until n) and returns n. Costs O(nodes reached + edges
-    * scanned).
+  /** The search behind every query but [[spreadOutside]], which repeats its
+    * loop with one more test: BFS over `adj` from the seeds marked since
+    * [[restart]], along edges with expiry ≥ `from`. Leaves the reached nodes,
+    * seeds first, in found(0 until n) and returns n. Costs O(nodes reached +
+    * edges scanned).
     */
   private def search(adj: Array[Adj], from: Int): Int = {
     var head = 0
@@ -186,13 +209,59 @@ final class Digraph(val universe: Int) {
     seed(v)
     search(fwd, from)
   }
+
+  /** f({v}) over every edge. When no successor of v has an out-edge, reach(v)
+    * is v and its successors, which the adjacency holds once each and without
+    * v itself: their number is counted, not searched.
+    */
+  def singletonSpread(v: Int): Int = {
+    val a = fwd(v)
+    if (a == null) return 1
+    var j = 0
+    while (j < a.n && !Digraph.has(sources, a.to(j))) j += 1
+    if (j == a.n) 1 + a.n else spreadOf(v, Int.MinValue)
+  }
+
+  /** |reach(v) \ s| over every edge, for a word set `s` spanning the universe
+    * that is closed under reach (it holds the reach set of each node it
+    * holds) and does not hold v. The search does not pass through `s`: by
+    * closure, every node of reach(v) \ s is reached through nodes outside it.
+    */
+  def spreadOutside(v: Int, s: Array[Long]): Int = {
+    restart()
+    seed(v)
+    var head = 0
+    while (head < nFound) {
+      val a = fwd(found(head))
+      head += 1
+      if (a != null) {
+        var j = 0
+        while (j < a.n) {
+          if (!Digraph.has(s, a.to(j))) visit(a.to(j))
+          j += 1
+        }
+      }
+    }
+    nFound
+  }
+
+  /** s ∪= reach(v), for an `s` as in [[spreadOutside]], returning how much `s`
+    * grew.
+    */
+  def cover(v: Int, s: Array[Long]): Int = {
+    val n = spreadOutside(v, s)
+    var i = 0
+    while (i < n) { s(found(i) >>> 6) |= 1L << found(i); i += 1 }
+    n
+  }
 }
 
 object Digraph {
 
   // Node sets as bit words: node v is bit v & 63 of s(v >>> 6), and a node
-  // past the last word is absent. CELF's covered set spans the universe; a
-  // sieve's reach(S) ends at its highest node's word (see [[fit]]).
+  // past the last word is absent. A graph's node sets and CELF's covered set
+  // span the universe; a sieve's reach(S) ends at its highest node's word
+  // (see [[fit]]).
 
   /** Whether node v is in the word set `s`. */
   def has(s: Array[Long], v: Int): Boolean = {
@@ -200,12 +269,32 @@ object Digraph {
     w < s.length && (s(w) & 1L << v) != 0L
   }
 
-  /** |r \ s|: how many nodes of `r` are not in `s`. */
-  def countMissing(r: Array[Int], s: Array[Long]): Int = {
+  private def add(s: Array[Long], v: Int): Unit    = s(v >>> 6) |= 1L << v
+  private def remove(s: Array[Long], v: Int): Unit = s(v >>> 6) &= ~(1L << v)
+
+  /** |s|. */
+  private def size(s: Array[Long]): Int = {
     var n = 0
-    var i = 0
-    while (i < r.length) { if (!has(s, r(i))) n += 1; i += 1 }
+    var w = 0
+    while (w < s.length) { n += java.lang.Long.bitCount(s(w)); w += 1 }
     n
+  }
+
+  /** The nodes of `s`, ascending. */
+  private def members(s: Array[Long]): Array[Int] = {
+    val out = new Array[Int](size(s))
+    var i   = 0
+    var w   = 0
+    while (w < s.length) {
+      var bits = s(w)
+      while (bits != 0L) {
+        out(i) = w << 6 | java.lang.Long.numberOfTrailingZeros(bits)
+        i += 1
+        bits &= bits - 1
+      }
+      w += 1
+    }
+    out
   }
 
   /** `s`, or a copy of it lengthened to exactly the word of r's highest node

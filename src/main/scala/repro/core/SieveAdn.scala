@@ -42,7 +42,8 @@ import repro.tdn.{Tdn, TimedEdge}
   *     evaluations Alg. 1 makes.
   *
   * The oracle-call ledger therefore counts exactly the f evaluations the
-  * paper's complexity analysis counts: O(b · ε⁻¹ log k) per batch (Theorem 3).
+  * paper's complexity analysis counts: O(b · ε⁻¹ log k) per batch (Theorem 3),
+  * by [[OracleCounter]]'s rule.
   */
 final class SieveAdn private[core] (
     val k: Int,

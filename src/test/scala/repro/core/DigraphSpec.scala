@@ -147,6 +147,63 @@ class DigraphSpec extends AnyFunSuite {
     assert(g.spreadOf(Seq(0)) == 1)
   }
 
+  test("a new edge marks its tail a source; raising its expiry or a self-loop changes nothing") {
+    val g = new Digraph(8)
+    assert(g.sourceArray.isEmpty)
+    assert(g.addEdge(3, 5, expiry = 4))
+    assert(g.sourceArray.toSeq == Seq(3))
+    assert(!g.addEdge(3, 5, expiry = 9))
+    assert(g.sourceArray.toSeq == Seq(3))
+    assert(!g.addEdge(6, 6, expiry = 9))
+    assert(g.sourceArray.toSeq == Seq(3) && g.nodeArray.toSeq == Seq(3, 5))
+    g.addEdge(5, 1, expiry = 2)
+    assert(g.sourceArray.toSeq == Seq(3, 5))
+  }
+
+  test("a node whose last out-edge expires stops being a source but stays present as a head") {
+    val g = new Digraph(8)
+    g.addEdge(2, 4, expiry = 3)
+    g.addEdge(2, 6, expiry = 5)
+    g.addEdge(1, 2, expiry = 9)
+    g.expire(2, 4, now = 3)
+    assert(g.sourceArray.toSeq == Seq(1, 2))
+    g.expire(2, 6, now = 5)
+    assert(g.sourceArray.toSeq == Seq(1))
+    assert(g.nodeArray.toSeq == Seq(1, 2))
+    assert(g.prevSink(7) == 2)
+  }
+
+  test("the sink iteration visits present non-sources in descending order and ends with -1") {
+    val g = TestData.digraphOf(12, Seq((0, 3), (3, 7), (5, 7), (5, 9), (11, 2)))
+    val sinks = Iterator.iterate(g.prevSink(11))(v => g.prevSink(v - 1)).takeWhile(_ >= 0).toSeq
+    assert(sinks == Seq(9, 7, 2))
+    assert(g.prevSink(1) == -1 && g.prevSink(-1) == -1)
+    assert(new Digraph(0).prevSink(-1) == -1)
+  }
+
+  test("singletonSpread, spreadOutside and cover agree with reachOf on random graphs") {
+    for (seed <- 0L until 40L) {
+      val rng   = new Random(seed)
+      val n     = 2 + rng.nextInt(40)
+      val g     = TestData.digraphOf(n, TestData.randomEdges(n, rng.nextInt(2 * n), seed))
+      val words = new Array[Long]((n + 63) >>> 6)
+      var held  = Set.empty[Int]
+      for (v <- 0 until n) assert(g.singletonSpread(v) == g.reachOf(v).length, s"seed=$seed v=$v")
+      for (_ <- 0 until 3) {
+        val outside = (0 until n).filterNot(held)
+        if (outside.nonEmpty) {
+          // `words` stays closed under reach: it only ever gains whole reach sets.
+          outside.foreach(v => assert(g.spreadOutside(v, words) == (g.reachOf(v).toSet -- held).size, s"seed=$seed v=$v"))
+          val v    = outside(rng.nextInt(outside.length))
+          val grew = (g.reachOf(v).toSet -- held).size
+          assert(g.cover(v, words) == grew, s"seed=$seed v=$v")
+          held ++= g.reachOf(v)
+          assert((0 until n).filter(Digraph.has(words, _)).toSet == held, s"seed=$seed")
+        }
+      }
+    }
+  }
+
   test("reachOf on a fresh graph returns every reached node even when the search grows the scratch") {
     val g = TestData.digraphOf(201, (1 until 200).map(i => (i, i + 1)))
     assert(g.reachOf(1).toSeq == (1 to 200))

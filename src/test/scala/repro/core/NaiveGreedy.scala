@@ -16,7 +16,7 @@ object NaiveGreedy {
       nodes.foreach { v =>
         if (!seeds.contains(v)) {
           counter.inc()
-          val gain = Digraph.countMissing(g.reachOf(v), covered)
+          val gain = WordSets.countMissing(g.reachOf(v), covered)
           if (gain > bestGain || (gain == bestGain && gain > 0 && (bestNode < 0 || v > bestNode))) {
             bestGain = gain
             bestNode = v

@@ -118,7 +118,7 @@ object PerSieveAdn {
 
     /** Whether δ_S(v) = |r \ reach(S)| ≥ need, for v's reach-set r. */
     def gainMeets(v: Int, r: Array[Int], need: Int): Boolean =
-      if (has(v)) need <= 0 else Digraph.countMissing(r, words) >= need
+      if (has(v)) need <= 0 else WordSets.countMissing(r, words) >= need
 
     def add(r: Array[Int]): Unit = {
       words = Digraph.fit(words, r)
