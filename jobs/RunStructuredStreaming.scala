@@ -26,7 +26,7 @@ object RunStructuredStreaming {
       // paces indexes into this array.
       val rows = Lifetimes.withGeometricLifetimes(
         InteractionStreams.prefix(spark, spec, steps),
-        Defaults.pFor(spec), Defaults.maxL, seed = spec.seed + 7777,
+        Defaults.p, Defaults.maxL, seed = spec.seed + 7777,
       ).select("ts", "src", "dst", "lifetime").collect()
       val lookup = spark.sparkContext.broadcast(rows.map(r =>
         (r.getInt(0), r.getInt(1), r.getInt(2), r.getInt(3))))

@@ -10,9 +10,7 @@ import repro.tdn.{Tdn, TimedEdge}
   * `graph` whose expiry is ≥ `cutoff`. A stand-alone instance owns its graph
   * and has cutoff −∞: the ADN view, where edges only arrive. Inside
   * BasicReduction and HistApprox every instance shares the tracker's TDN graph
-  * (see [[repro.tdn.Tdn]]): at time t the instance with index l has processed
-  * exactly the alive edges with remaining lifetime ≥ l, which is the fixed
-  * cutoff t + l, since index and remaining lifetimes drop together. Those
+  * as the cutoff t + l of its index l (see [[InstanceListTracker]]); those
   * trackers terminate whole instances instead of deleting edges.
   *
   * Mechanics per batch Ē_t of edges new to the instance's view:

@@ -1,14 +1,13 @@
 package repro.core
 
+import scala.collection.mutable
 import scala.util.Random
 import repro.tdn.{Tdn, TimedEdge}
 
-/** Recompute-from-scratch trackers: maintain the TDN and rerun a static
-  * algorithm on G_t at every query. These are the paper's non-streaming
-  * baselines wrapped in the [[StreamingInfluenceAlgo]] contract.
+/** A tracker that owns the TDN G_t and its live graph over `universe`.
   *
-  * The TDN's live graph over `universe` exists from construction, so a batch
-  * with a node id outside the universe is rejected before it changes state.
+  * The live graph exists from construction, so a batch with a node id
+  * outside the universe is rejected before it changes state.
   */
 abstract class TdnTracker(val universe: Int) extends StreamingInfluenceAlgo {
   protected val tdn   = new Tdn
@@ -18,6 +17,92 @@ abstract class TdnTracker(val universe: Int) extends StreamingInfluenceAlgo {
 
   override def observe(batch: Seq[TimedEdge]): Unit = tdn.add(batch)
   override def endStep(): Unit = tdn.advance()
+}
+
+/** The skeleton that BasicReduction (Alg. 2) and HistApprox (Alg. 3) share:
+  * a list of SieveADN instances over the tracker's one TDN graph.
+  *
+  * At time t the instance with index l has processed exactly the alive edges
+  * with remaining lifetime ≥ l. Index and remaining lifetimes drop together,
+  * so the instance is the fixed cutoff c = t + l over the graph (see
+  * [[SieveAdn]]), and the list, ascending by cutoff, shifts left by itself as
+  * t advances. Lifetimes above L are capped at L before edges enter the TDN,
+  * since A_L is the last instance they reach. An instance with cutoff c is
+  * fed the arrivals whose graph expiry rises from below c to at least c, so
+  * [[feed]] visits only the cutoffs in (least expiry before, greatest expiry
+  * after] over a batch's rising arrivals. The head answers the query and is
+  * terminated once its cutoff is t + 1. An entry may stand for
+  * [[members]] instances fed the same updates; its calls are credited once
+  * per member, by [[OracleCounter]]'s rule.
+  */
+abstract class InstanceListTracker(
+    val k: Int,
+    val eps: Double,
+    val maxLifetime: Int,
+    universe: Int,
+) extends TdnTracker(universe) {
+  require(k >= 1, "k must be >= 1")
+  require(eps > 0 && eps < 1, "eps must be in (0,1)")
+  require(maxLifetime >= 1, "L must be >= 1")
+
+  protected val counter = new OracleCounter
+  // Ascending by cutoff; the head answers the query.
+  protected val insts = mutable.ArrayDeque.empty[SieveAdn]
+
+  protected def newInstance(cutoff: Int): SieveAdn = new SieveAdn(k, eps, counter, graph, cutoff)
+
+  /** Index of the first instance whose cutoff is at least c. */
+  protected def indexOf(c: Int): Int = {
+    var lo = 0
+    var hi = insts.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (insts(mid).cutoff < c) lo = mid + 1 else hi = mid
+    }
+    lo
+  }
+
+  /** How many instances entry j stands for. */
+  protected def members(j: Int): Int = 1
+
+  override def observe(batch: Seq[TimedEdge]): Unit =
+    observeCapped(batch.map(e => if (e.lifetime > maxLifetime) e.copy(lifetime = maxLifetime) else e))
+
+  /** Add a batch whose lifetimes are at most L to G_t, by
+    * [[SieveAdn.addTo]], and feed its arrivals.
+    */
+  protected def observeCapped(batch: Seq[TimedEdge]): Unit
+
+  /** Feed `arrivals` to every instance that sees one of them. */
+  protected def feed(arrivals: Array[SieveAdn.Arrival]): Unit = {
+    var lo = Int.MaxValue
+    var hi = Int.MinValue
+    var a  = 0
+    while (a < arrivals.length) {
+      val e = arrivals(a)
+      if (e.after > e.before) { lo = math.min(lo, e.before); hi = math.max(hi, e.after) }
+      a += 1
+    }
+    var j = if (lo < hi) indexOf(lo + 1) else insts.length
+    while (j < insts.length && insts(j).cutoff <= hi) {
+      val calls = counter.calls
+      insts(j).feed(arrivals)
+      counter.add((counter.calls - calls) * (members(j) - 1))
+      j += 1
+    }
+  }
+
+  override def querySolution: Seq[Int] = insts.headOption.map(_.solution).getOrElse(Nil)
+
+  /** g_t of the head instance, the query's value. */
+  def currentValue: Int = insts.headOption.map(_.currentValue).getOrElse(0)
+
+  override def endStep(): Unit = {
+    if (insts.nonEmpty && insts.head.cutoff == tdn.now + 1) insts.removeHead() // terminate A_1
+    super.endStep()
+  }
+
+  override def oracleCalls: Long = counter.calls
 }
 
 /** "Greedy": CELF rerun on G_t at every query (1 − 1/e approx). */

@@ -16,12 +16,11 @@ object Defaults {
   // L >> 1/p as in the paper (L = 10K at p = 0.001): truncation never binds.
   val maxL: Int = 5000
 
-  /** Geometric decay rate (paper: Geo(0.001) truncated at L = 10K; ours is
-    * scaled so the alive graph holds a few hundred interactions at 1/step).
-    * One p for every dataset; it is a function of the spec because that is
-    * the `pOf` argument's shape.
+  /** Geometric decay rate, one for every dataset (paper: Geo(0.001)
+    * truncated at L = 10K; ours is scaled so the alive graph holds a few
+    * hundred interactions at 1/step).
     */
-  def pFor(spec: StreamSpec): Double = 0.002
+  val p: Double = 0.002
 
   /** LBSN datasets (Fig. 7 uses these two, as the paper does). */
   val lbsn: Seq[StreamSpec] = Seq(InteractionStreams.brightkite, InteractionStreams.gowalla)

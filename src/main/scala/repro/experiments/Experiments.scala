@@ -163,10 +163,10 @@ object Experiments {
       steps: Int = 1500,
       k: Int = 10,
       maxL: Int = Defaults.maxL,
-      pOf: StreamSpec => Double = Defaults.pFor,
+      p: Double = Defaults.p,
   ): Seq[Fig8Row] =
     specs.flatMap { spec =>
-      val batches = batchesFor(spark, spec, steps, pOf(spec), maxL)
+      val batches = batchesFor(spark, spec, steps, p, maxL)
       val greedy  = new GreedyTracker(k, spec.universe)
       val random  = new RandomTracker(k, spec.universe, seed = 55L)
       val recs    = StreamDriver.run(batches, Seq(greedy, random))
@@ -235,9 +235,9 @@ object Experiments {
       steps: Int = 400,
       eps: Double = 0.2,
       maxL: Int = Defaults.maxL,
-      pOf: StreamSpec => Double = Defaults.pFor,
+      p: Double = Defaults.p,
   ): Seq[SweepRow] =
-    for { spec <- specs; k <- ks } yield sweepRow(spark, spec, k, steps, k, eps, maxL, pOf(spec))
+    for { spec <- specs; k <- ks } yield sweepRow(spark, spec, k, steps, k, eps, maxL, p)
 
   def fig11Lines(rows: Seq[SweepRow]): Seq[String] = sweepLines("k", 4)(rows)
 
@@ -252,9 +252,9 @@ object Experiments {
       steps: Int = 400,
       k: Int = 10,
       eps: Double = 0.2,
-      pOf: StreamSpec => Double = Defaults.pFor,
+      p: Double = Defaults.p,
   ): Seq[SweepRow] =
-    for { spec <- specs; l <- ls } yield sweepRow(spark, spec, l, steps, k, eps, l, pOf(spec))
+    for { spec <- specs; l <- ls } yield sweepRow(spark, spec, l, steps, k, eps, l, p)
 
   def fig12Lines(rows: Seq[SweepRow]): Seq[String] = sweepLines("L", 5)(rows)
 
@@ -277,11 +277,11 @@ object Experiments {
       steps: Int = 500,
       k: Int = 10,
       maxL: Int = Defaults.maxL,
-      pOf: StreamSpec => Double = Defaults.pFor,
+      p: Double = Defaults.p,
       maxRR: Int = 20000,
   ): Seq[Fig13Row] =
     specs.flatMap { spec =>
-      val batches = batchesFor(spark, spec, steps, pOf(spec), maxL)
+      val batches = batchesFor(spark, spec, steps, p, maxL)
       val algos: Seq[StreamingInfluenceAlgo] = Seq(
         new GreedyTracker(k, spec.universe),
         new HistApprox(k, 0.3, maxL, spec.universe),

@@ -1,8 +1,8 @@
 package repro.ic
 
 import scala.collection.mutable
-import repro.core.StreamingInfluenceAlgo
-import repro.tdn.{Tdn, TimedEdge}
+import repro.core.TdnTracker
+import repro.tdn.TimedEdge
 
 /** DIM-lite: a simplified reimplementation of the dynamic RR-sketch index of
   * Ohsaka et al. (VLDB 2016), the paper's "DIM" baseline (β = 32 as in §V-C).
@@ -34,11 +34,9 @@ final class DimTracker(
     universe: Int,
     beta: Int = 32,
     seed: Long = 7L,
-) extends StreamingInfluenceAlgo {
+) extends TdnTracker(universe) {
 
   private val rng      = new java.util.Random(seed)
-  private val tdn      = new Tdn
-  tdn.toDigraph(universe) // from here on, tdn.add rejects ids outside the universe
   private val poolSize = math.max(256, beta * 256)
 
   private val targets   = new Array[Int](poolSize)
@@ -63,7 +61,7 @@ final class DimTracker(
 
   override def observe(batch: Seq[TimedEdge]): Unit = {
     val before = tdn.aliveNodes
-    tdn.add(batch)
+    super.observe(batch)
     val counts = tdn.interactionCounts
     icCache = IcGraph.fromCounts(counts, universe)
 
@@ -103,7 +101,7 @@ final class DimTracker(
   }
 
   override def endStep(): Unit = {
-    tdn.advance()
+    super.endStep()
     val now   = tdn.interactionCounts
     val alive = tdn.aliveNodes
     // Decreased (u, v) multiplicity invalidates sketches containing the head.

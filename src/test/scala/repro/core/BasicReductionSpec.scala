@@ -23,8 +23,19 @@ class BasicReductionSpec extends AnyFunSuite {
   private def visible(a: SieveAdn): Set[(Int, Int)] =
     (for { u <- 0 until a.universe; v <- 0 until a.universe if a.graph.expiryOf(u, v) >= a.cutoff } yield (u, v)).toSet
 
-  test("constructor validates L") {
+  test("constructor validates k, eps and L") {
     intercept[IllegalArgumentException](new BasicReduction(2, 0.1, 0, 10))
+    intercept[IllegalArgumentException](new BasicReduction(0, 0.1, 5, 10))
+    intercept[IllegalArgumentException](new BasicReduction(2, 0.0, 5, 10))
+    intercept[IllegalArgumentException](new BasicReduction(2, 1.0, 5, 10))
+  }
+
+  test("instance(i) rejects i outside 1..L") {
+    val algo = new BasicReduction(2, 0.1, maxLifetime = 4, universe = 10)
+    algo.observe(Seq(TimedEdge(0, 1, 2)))
+    assert((1 to 4).map(algo.instance(_).cutoff) == Seq(2, 2, 4, 4))
+    intercept[IllegalArgumentException](algo.instance(0))
+    intercept[IllegalArgumentException](algo.instance(5))
   }
 
   test("invariant: A_1 has processed exactly the alive edges of G_t") {

@@ -6,8 +6,11 @@ import repro.tdn.{Tdn, TimedEdge}
 
 class HistApproxSpec extends AnyFunSuite {
 
-  test("constructor validates L") {
+  test("constructor validates k, eps and L") {
     intercept[IllegalArgumentException](new HistApprox(2, 0.1, 0, 10))
+    intercept[IllegalArgumentException](new HistApprox(0, 0.1, 5, 10))
+    intercept[IllegalArgumentException](new HistApprox(2, 0.0, 5, 10))
+    intercept[IllegalArgumentException](new HistApprox(2, 1.0, 5, 10))
   }
 
   test("no indices before any edge arrives") {

@@ -48,7 +48,7 @@ class ExperimentsSpec extends SparkSpec {
   test("fig8to10Rows shares one Greedy run across eps values") {
     val rows = Experiments.fig8to10Rows(
       spark, Seq(tiny), epss = Seq(0.1, 0.3), steps = 60, k = 3,
-      maxL = 30, pOf = _ => 0.05,
+      maxL = 30, p = 0.05,
     )
     assert(rows.size == 2)
     assert(rows.map(_.avgGreedyValue).distinct.size == 1, "same Greedy baseline for all eps")
@@ -60,16 +60,16 @@ class ExperimentsSpec extends SparkSpec {
 
   test("fig11 and fig12 sweep the requested parameter") {
     val k = Experiments.fig11(spark, Seq(tiny), ks = Seq(2, 4), steps = 40,
-      eps = 0.2, maxL = 30, pOf = _ => 0.05)
+      eps = 0.2, maxL = 30, p = 0.05)
     assert(k.map(_.param) == Seq(2, 4))
     val l = Experiments.fig12(spark, Seq(tiny), ls = Seq(20, 40), steps = 40,
-      k = 3, eps = 0.2, pOf = _ => 0.05)
+      k = 3, eps = 0.2, p = 0.05)
     assert(l.map(_.param) == Seq(20, 40))
   }
 
   test("fig13to14 produces one row per algorithm with positive throughput") {
     val rows = Experiments.fig13to14(
-      spark, Seq(tiny), steps = 40, k = 3, maxL = 30, pOf = _ => 0.05, maxRR = 500,
+      spark, Seq(tiny), steps = 40, k = 3, maxL = 30, p = 0.05, maxRR = 500,
     )
     assert(rows.map(_.algo).toSet ==
       Set("Greedy", "HistApprox", "DIM", "IMM", "TIM+", "Random"))
@@ -79,9 +79,7 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("Defaults keep the paper's regime: L >> 1/p") {
-    InteractionStreams.all.foreach { spec =>
-      assert(Defaults.maxL > 5.0 / Defaults.pFor(spec) * 0.9, spec.name)
-    }
+    assert(Defaults.maxL > 5.0 / Defaults.p * 0.9)
   }
 
   // The renderers below are the text `sbt "bench/test"` prints after each
