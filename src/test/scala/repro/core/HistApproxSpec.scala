@@ -48,6 +48,7 @@ class HistApproxSpec extends AnyFunSuite {
     h.observe(Seq(TimedEdge(0, 1, 3)))
     h.observe(Seq(TimedEdge(2, 3, 3)))
     assert(h.indices == Seq(3))
+    assert(h.currentValue == 4, "the reused instance is fed the new edge")
   }
 
   test("an instance created below an existing one back-fills from G_t (Fig 6c)") {
