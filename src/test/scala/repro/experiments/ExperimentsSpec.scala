@@ -60,7 +60,7 @@ class ExperimentsSpec extends SparkSpec {
 
   test("fig11 and fig12 sweep the requested parameter") {
     val k = Experiments.fig11(spark, Seq(tiny), ks = Seq(2, 4), steps = 40,
-      eps = 0.2, maxL = 30, p = 0.05)
+      eps = 0.2, maxL = 30, pOf = _ => 0.05)
     assert(k.map(_.param) == Seq(2, 4))
     val l = Experiments.fig12(spark, Seq(tiny), ls = Seq(20, 40), steps = 40,
       k = 3, eps = 0.2, p = 0.05)
