@@ -19,17 +19,17 @@ object RunStructuredStreaming {
     val steps = Jobs.intArg(args, 0, 40)
     val rps   = Jobs.intArg(args, 1, 500)
     require(steps >= 1, s"steps must be >= 1, got $steps")
+    require(rps >= 1, s"rowsPerSec must be >= 1, got $rps")
     val spark = Jobs.session("RunStructuredStreaming")
     try {
       val spec = InteractionStreams.twitterHK
-      // Pre-materialize the interactions in arrival order; the rate stream
-      // paces indexes into this array.
+      // Pre-materialize the (ts, src, dst, lifetime) rows in arrival order;
+      // the rate stream paces indexes into this array, which foreachBatch
+      // reads on the driver.
       val rows = Lifetimes.withGeometricLifetimes(
         InteractionStreams.prefix(spark, spec, steps),
         Defaults.p, Defaults.maxL, seed = spec.seed + 7777,
       ).select("ts", "src", "dst", "lifetime").collect()
-      val lookup = spark.sparkContext.broadcast(rows.map(r =>
-        (r.getInt(0), r.getInt(1), r.getInt(2), r.getInt(3))))
 
       val runner = new StructuredTdnRunner(new HistApprox(10, 0.2, Defaults.maxL, spec.universe), spec.universe)
       var delivered = 0
@@ -48,12 +48,12 @@ object RunStructuredStreaming {
             // Deliver whole timesteps only: a ts is closed once the rate stream
             // has passed its last interaction.
             val upto       = idx.max.toInt
-            val deliverable = lookup.value.slice(delivered, upto + 1)
+            val deliverable = rows.slice(delivered, upto + 1)
             val lastFullTs  = if (upto + 1 >= rows.length) Int.MaxValue
-                              else lookup.value(upto + 1)._1
-            val whole = deliverable.filter(_._1 < lastFullTs)
+                              else rows(upto + 1).getInt(0)
+            val whole = deliverable.filter(_.getInt(0) < lastFullTs)
             if (whole.nonEmpty) {
-              runner.processRows(whole.map(t => org.apache.spark.sql.Row(t._1, t._2, t._3, t._4)))
+              runner.processRows(whole)
               delivered += whole.length
               runner.results.takeRight(3).foreach { r =>
                 println(s"[t=${r.t}] value=${r.value} seeds=${r.seeds.mkString(",")}")

@@ -31,7 +31,6 @@ final class HistApprox(
   def valueAt(l: Int): Int = insts.find(_.cutoff == tdn.now + l).get.currentValue
 
   override protected def observeCapped(batch: Seq[TimedEdge]): Unit = {
-    tdn.check(batch) // reject a bad batch before its first group changes state
     // Alg. 3 line 3: process lifetime groups in increasing l.
     batch.groupBy(_.lifetime).toSeq.sortBy(_._1).foreach { case (l, group) =>
       feed(SieveAdn.addTo(tdn, graph, group)) // Alg. 3 line 17: the instances with index ≤ l

@@ -294,9 +294,10 @@ object SieveAdn {
     */
   private[core] final case class Arrival(u: Int, v: Int, before: Int, after: Int)
 
-  /** Add `batch` to `tdn`, whose live graph is `graph`, and return its arrivals. */
+  /** Add `batch`, which has passed [[Tdn.check]], to `tdn`, whose live graph
+    * is `graph`, and return its arrivals.
+    */
   private[core] def addTo(tdn: Tdn, graph: Digraph, batch: Seq[TimedEdge]): Array[Arrival] = {
-    tdn.check(batch)
     val pairs  = batch.iterator.filter(e => e.u != e.v).map(e => (e.u, e.v)).distinct.toArray
     val before = pairs.map { case (u, v) => graph.expiryOf(u, v) }
     tdn.add(batch)

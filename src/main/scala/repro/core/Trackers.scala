@@ -65,10 +65,13 @@ abstract class InstanceListTracker(
   /** How many instances entry j stands for. */
   protected def members(j: Int): Int = 1
 
-  override def observe(batch: Seq[TimedEdge]): Unit =
-    observeCapped(batch.map(e => if (e.lifetime > maxLifetime) e.copy(lifetime = maxLifetime) else e))
+  override def observe(batch: Seq[TimedEdge]): Unit = {
+    val capped = batch.map(e => if (e.lifetime > maxLifetime) e.copy(lifetime = maxLifetime) else e)
+    tdn.check(capped) // reject a bad batch before any part of it changes state
+    observeCapped(capped)
+  }
 
-  /** Add a batch whose lifetimes are at most L to G_t, by
+  /** Add a checked batch whose lifetimes are at most L to G_t, by
     * [[SieveAdn.addTo]], and feed its arrivals.
     */
   protected def observeCapped(batch: Seq[TimedEdge]): Unit

@@ -25,9 +25,10 @@ import repro.tdn.TimedEdge
   *    (the original's sketch distribution is kept exact by bookkeeping we
   *    approximate here; see DESIGN.md §5).
   *
-  * Queries run greedy max-cover over the pool. The simplification preserves
-  * the paper's observed behaviour: reasonable but less stable solution
-  * quality, and throughput between Greedy and the static-index methods.
+  * Queries run greedy max-cover ([[RRSets.maxCover]]) over the inverted
+  * index. The simplification preserves the paper's observed behaviour:
+  * reasonable but less stable solution quality, and throughput between
+  * Greedy and the static-index methods.
   */
 final class DimTracker(
     k: Int,
@@ -39,15 +40,16 @@ final class DimTracker(
   private val rng      = new java.util.Random(seed)
   private val poolSize = math.max(256, beta * 256)
 
-  private val targets   = new Array[Int](poolSize)
   private val sketches  = new Array[Array[Int]](poolSize)
   private val stale     = new java.util.BitSet(poolSize)
   private val byNode    = new mutable.HashMap[Int, mutable.BitSet]
   private var prevCount = Map.empty[(Int, Int), Int]
+  private var alive     = Set.empty[Int] // tdn.aliveNodes after the last observe or endStep
   private var refreshCursor = 0
-  private var icCache: IcGraph = IcGraph.fromCounts(Nil, universe)
+  // The IC graph of G_t, or null after endStep until a query builds it.
+  private var icCache: IcGraph = null
 
-  { (0 until poolSize).foreach(stale.set) } // everything starts unsampled
+  stale.set(0, poolSize) // everything starts unsampled
 
   override def name: String = "DIM"
 
@@ -60,7 +62,7 @@ final class DimTracker(
   }
 
   override def observe(batch: Seq[TimedEdge]): Unit = {
-    val before = tdn.aliveNodes
+    val before = alive
     super.observe(batch)
     val counts = tdn.interactionCounts
     icCache = IcGraph.fromCounts(counts, universe)
@@ -68,6 +70,7 @@ final class DimTracker(
     // New nodes: re-target a proportional share of the pool so that sketch
     // targets keep approximating a uniform draw over V_t.
     val after    = tdn.aliveNodes
+    alive = after
     val newNodes = after -- before
     if (newNodes.nonEmpty && after.nonEmpty) {
       val quota = math.max(1, poolSize * newNodes.size / after.size)
@@ -102,27 +105,28 @@ final class DimTracker(
 
   override def endStep(): Unit = {
     super.endStep()
-    val now   = tdn.interactionCounts
-    val alive = tdn.aliveNodes
+    val now = tdn.interactionCounts
+    alive = tdn.aliveNodes
     // Decreased (u, v) multiplicity invalidates sketches containing the head.
     prevCount.foreach { case ((u, v), x) =>
       if (now.getOrElse((u, v), 0) < x)
         byNode.get(v).foreach(_.foreach(stale.set))
     }
-    // Sketches referencing departed nodes (target or member) are invalid.
+    // Sketches holding a departed node (their target is a member) are invalid.
     var id = 0
     while (id < poolSize) {
       if (!stale.get(id) && sketches(id) != null) {
-        if (!alive.contains(targets(id)) || sketches(id).exists(!alive.contains(_)))
-          stale.set(id)
+        if (sketches(id).exists(!alive.contains(_))) stale.set(id)
       }
       id += 1
     }
     prevCount = now
-    icCache = IcGraph.fromCounts(now, universe)
+    icCache = null
   }
 
   private def rebuildStale(): Unit = {
+    // prevCount equals the TDN's counts after endStep.
+    if (icCache == null) icCache = IcGraph.fromCounts(prevCount, universe)
     if (icCache.nodeCount == 0) {
       // Nothing alive: every sketch is vacuous; clear them.
       var id = stale.nextSetBit(0)
@@ -134,7 +138,6 @@ final class DimTracker(
       unindex(id)
       val target = icCache.nodes(rng.nextInt(icCache.nodeCount))
       val s      = RRSets.sample(icCache, target, rng)
-      targets(id) = target
       sketches(id) = s
       index(id, s)
       stale.clear(id)
@@ -150,9 +153,7 @@ final class DimTracker(
     (0 until slice).foreach(i => stale.set((refreshCursor + i) % poolSize))
     refreshCursor = (refreshCursor + slice) % poolSize
     rebuildStale()
-    val live = sketches.iterator.filter(_ != null).toIndexedSeq
-    if (live.isEmpty) Nil
-    else RRSets.maxCover(live, k, universe)._1
+    RRSets.maxCover(byNode, k)._1
   }
 
   override def oracleCalls: Long = 0L

@@ -48,10 +48,7 @@ object IcGraph {
         present.set(v)
       }
     }
-    val ns = new ArrayBuffer[Int](present.cardinality())
-    var i  = present.nextSetBit(0)
-    while (i >= 0) { ns += i; i = present.nextSetBit(i + 1) }
-    new IcGraph(universe, in, ns.toArray)
+    new IcGraph(universe, in, present.stream().toArray)
   }
 }
 
@@ -89,30 +86,39 @@ object RRSets {
     out.toArray
   }
 
-  /** Greedy max-cover over RR sets.
+  /** The node → set-ids inverted index of an RR collection, set i's id being i. */
+  def index(rr: Iterable[Array[Int]]): mutable.HashMap[Int, ArrayBuffer[Int]] = {
+    val byNode = new mutable.HashMap[Int, ArrayBuffer[Int]]
+    rr.iterator.zipWithIndex.foreach { case (set, id) =>
+      set.foreach(v => byNode.getOrElseUpdate(v, new ArrayBuffer[Int](4)) += id)
+    }
+    byNode
+  }
+
+  /** Greedy max-cover over the RR sets of a node → set-ids index, which it
+    * only reads. Each round takes the node with the largest (uncovered-set
+    * count, node id) and stops at gain 0, so a chosen node, whose sets are
+    * then covered, is never taken again. Nodes with no ids gain 0.
     *
     * @return (seeds, number of RR sets covered)
     */
-  def maxCover(rr: IndexedSeq[Array[Int]], k: Int, universe: Int): (Seq[Int], Int) = {
-    if (rr.isEmpty) return (Nil, 0)
-    val byNode = new mutable.HashMap[Int, ArrayBuffer[Int]]
-    rr.zipWithIndex.foreach { case (set, id) =>
-      set.foreach(v => byNode.getOrElseUpdate(v, new ArrayBuffer[Int](4)) += id)
-    }
-    val covered = new java.util.BitSet(rr.size)
-    val degree  = mutable.HashMap.from(byNode.view.mapValues(_.length))
+  def maxCover(byNode: collection.Map[Int, Iterable[Int]], k: Int): (Seq[Int], Int) = {
+    val covered = new java.util.BitSet
     val seeds   = new ArrayBuffer[Int](k)
     var total   = 0
-    while (seeds.length < k && degree.nonEmpty) {
-      // Recompute true coverage lazily (CELF-style would also work; sets are small).
-      val (best, gain) = degree.iterator
-        .map { case (v, _) => (v, byNode(v).count(id => !covered.get(id))) }
-        .maxBy { case (v, g) => (g, v) }
-      if (gain <= 0) return (seeds.toSeq, total)
-      seeds += best
-      byNode(best).foreach(covered.set)
-      total += gain
-      degree.remove(best)
+    var gain    = 1
+    while (seeds.length < k && gain > 0) {
+      var best = -1
+      gain = 0
+      byNode.foreachEntry { (v, ids) =>
+        val g = ids.count(id => !covered.get(id))
+        if (g > gain || (g == gain && v > best)) { best = v; gain = g }
+      }
+      if (gain > 0) {
+        seeds += best
+        byNode(best).foreach(covered.set)
+        total += gain
+      }
     }
     (seeds.toSeq, total)
   }

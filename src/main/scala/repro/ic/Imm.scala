@@ -1,6 +1,6 @@
 package repro.ic
 
-/** IMM (Tang, Shi, Xiao — KDD 2015), reimplemented from the paper's formulas:
+/** IMM (Tang, Shi, Xiao — SIGMOD 2015), reimplemented from the paper's formulas:
   * martingale-based sampling-phase lower bound estimation, then node selection
   * by greedy max-cover over RR sets. Designed for *static* graphs — the bench
   * harness rebuilds it from scratch at every query, as §V-C does.
@@ -49,7 +49,7 @@ object Imm {
       val thetaI = math.min(maxRR.toDouble, lambdaP / x).toLong
       while (rr.length < thetaI)
         rr += RRSets.sample(ic, ic.nodes(rng.nextInt(n)), rng)
-      val (si, cov) = RRSets.maxCover(rr.toIndexedSeq, k, ic.universe)
+      val (si, cov) = RRSets.maxCover(RRSets.index(rr), k)
       val est       = n.toDouble * cov / rr.length
       if (est >= (1.0 + epsP) * x) {
         lb = est / (1.0 + epsP)
@@ -68,6 +68,6 @@ object Imm {
     while (rr.length < theta)
       rr += RRSets.sample(ic, ic.nodes(rng.nextInt(n)), rng)
 
-    RRSets.maxCover(rr.toIndexedSeq, k, ic.universe)._1
+    RRSets.maxCover(RRSets.index(rr), k)._1
   }
 }

@@ -55,7 +55,7 @@ object TimPlus {
     val lambda = (8.0 + 2.0 * eps) * n * (l * logn + Imm.logChoose(n, k) + math.log(2.0)) / (eps * eps)
     val theta  = math.max(1L, math.min(maxRR.toDouble, lambda / math.max(kpt, 1.0)).toLong)
 
-    val rr = (0L until theta).map(_ => RRSets.sample(ic, ic.nodes(rng.nextInt(n)), rng)).toIndexedSeq
-    RRSets.maxCover(rr, k, ic.universe)._1
+    val rr = (0L until theta).map(_ => RRSets.sample(ic, ic.nodes(rng.nextInt(n)), rng))
+    RRSets.maxCover(RRSets.index(rr), k)._1
   }
 }

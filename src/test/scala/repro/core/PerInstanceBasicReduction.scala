@@ -34,6 +34,7 @@ final class PerInstanceBasicReduction(
     // Alg. 2 line 3: A_i takes the new edges with lifetime ≥ i, i.e. expiry
     // reaching its cutoff.
     val capped   = batch.map(e => if (e.lifetime > maxLifetime) e.copy(lifetime = maxLifetime) else e)
+    tdn.check(capped)
     val arrivals = SieveAdn.addTo(tdn, graph, capped)
     if (arrivals.isEmpty) return
     // A_i sees an arrival iff before < t + i ≤ after, so only the instances

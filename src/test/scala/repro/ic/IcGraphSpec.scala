@@ -1,5 +1,6 @@
 package repro.ic
 
+import scala.collection.mutable
 import org.scalatest.funsuite.AnyFunSuite
 
 class IcGraphSpec extends AnyFunSuite {
@@ -71,27 +72,77 @@ class RRSetsSpec extends AnyFunSuite {
 
   test("maxCover picks the node covering the most RR sets") {
     val rr = IndexedSeq(Array(0, 1), Array(0, 2), Array(0, 3), Array(5))
-    val (seeds, covered) = RRSets.maxCover(rr, 1, 10)
+    val (seeds, covered) = RRSets.maxCover(RRSets.index(rr), 1)
     assert(seeds == Seq(0))
     assert(covered == 3)
   }
 
   test("maxCover with k=2 covers greedily") {
     val rr = IndexedSeq(Array(0, 1), Array(0, 2), Array(5), Array(5), Array(7))
-    val (seeds, covered) = RRSets.maxCover(rr, 2, 10)
+    val (seeds, covered) = RRSets.maxCover(RRSets.index(rr), 2)
     assert(seeds.toSet == Set(0, 5))
     assert(covered == 4)
   }
 
   test("maxCover stops early when everything is covered") {
     val rr = IndexedSeq(Array(1), Array(1))
-    val (seeds, covered) = RRSets.maxCover(rr, 5, 10)
+    val (seeds, covered) = RRSets.maxCover(RRSets.index(rr), 5)
     assert(seeds == Seq(1))
     assert(covered == 2)
   }
 
   test("maxCover of empty RR collection is empty") {
-    assert(RRSets.maxCover(IndexedSeq.empty, 3, 10)._1.isEmpty)
+    assert(RRSets.maxCover(RRSets.index(Nil), 3)._1.isEmpty)
+  }
+
+  test("maxCover equals a naive greedy that recounts every node every round") {
+    // Naive reference: each round recount every node's uncovered sets, take
+    // the argmax of (gain, node) and stop at gain 0.
+    var ties = 0
+    def naive(rr: Seq[Array[Int]], k: Int): (Seq[Int], Int) = {
+      val covered = mutable.BitSet.empty
+      val seeds   = mutable.ArrayBuffer.empty[Int]
+      var total   = 0
+      var done    = false
+      while (seeds.size < k && !done) {
+        val gains = rr.flatten.distinct.map(v => (rr.indices.count(i => !covered(i) && rr(i).contains(v)), v))
+        val best  = if (gains.isEmpty) (0, -1) else gains.max
+        if (best._1 == 0) done = true
+        else {
+          if (gains.count(_._1 == best._1) > 1) ties += 1
+          seeds += best._2
+          covered ++= rr.indices.filter(rr(_).contains(best._2))
+          total += best._1
+        }
+      }
+      (seeds.toSeq, total)
+    }
+
+    val r          = new scala.util.Random(17L)
+    var duplicates = 0
+    var kAbove     = 0
+    var emptyIds   = 0
+    for (_ <- 0 until 400) {
+      val nodes = 1 + r.nextInt(10)
+      val base  = Vector.fill(1 + r.nextInt(8))(r.shuffle((0 until nodes).toVector).take(1 + r.nextInt(nodes)).toArray)
+      val rr    = r.shuffle(base ++ Vector.fill(r.nextInt(4))(base(r.nextInt(base.size))))
+      val k     = 1 + r.nextInt(nodes + 3)
+      if (rr.map(_.toSeq).distinct.size < rr.size) duplicates += 1
+      if (k > nodes) kAbove += 1
+      if (r.nextBoolean()) assert(RRSets.maxCover(RRSets.index(rr), k) == naive(rr, k))
+      else {
+        // DIM's shape: a bit-set index from which some sets were unindexed,
+        // which can leave a node with no ids.
+        val byNode = mutable.HashMap.empty[Int, mutable.BitSet]
+        rr.indices.foreach(id => rr(id).foreach(v => byNode.getOrElseUpdate(v, mutable.BitSet.empty) += id))
+        val gone = rr.indices.filter(_ => r.nextInt(3) == 0).toSet
+        gone.foreach(id => rr(id).foreach(v => byNode(v) -= id))
+        if (byNode.values.exists(_.isEmpty)) emptyIds += 1
+        val kept = rr.indices.filterNot(gone).map(rr)
+        assert(RRSets.maxCover(byNode, k) == naive(kept, k))
+      }
+    }
+    assert(ties > 50 && duplicates > 50 && kAbove > 50 && emptyIds > 20, (ties, duplicates, kAbove, emptyIds))
   }
 
   test("RR-estimated spread converges to exact IC spread on a simple graph") {

@@ -8,7 +8,8 @@ import repro.stream.GoldenStreams.Case
 /** Differential guard: HistApprox, BasicReduction, Greedy and Random must
   * reproduce, on every step of the [[GoldenStreams]], the seeds, value and
   * cumulative oracle calls recorded in `golden-steps.tsv` before the trackers
-  * moved to one shared expiry-annotated graph. Greedy's rows were re-recorded
+  * moved to one shared expiry-annotated graph; DIM, whose rows were appended
+  * later, must reproduce its own the same way. Greedy's rows were re-recorded
   * once CELF stopped adding a zero-gain seed: each only lost trailing seeds,
   * with value and cumulative calls unchanged. HistApprox's rows were
   * re-recorded once it stopped creating instances that ReduceRedundancy kills
