@@ -58,7 +58,12 @@ final class DimTracker(
 
   private def unindex(id: Int): Unit = {
     val s = sketches(id)
-    if (s != null) s.foreach(v => byNode.get(v).foreach(_ -= id))
+    // A node left in no sketch leaves the index, which each query scans.
+    if (s != null) s.foreach { v =>
+      val ids = byNode(v)
+      ids -= id
+      if (ids.isEmpty) byNode.remove(v)
+    }
   }
 
   override def observe(batch: Seq[TimedEdge]): Unit = {

@@ -131,8 +131,8 @@ class RRSetsSpec extends AnyFunSuite {
       if (k > nodes) kAbove += 1
       if (r.nextBoolean()) assert(RRSets.maxCover(RRSets.index(rr), k) == naive(rr, k))
       else {
-        // DIM's shape: a bit-set index from which some sets were unindexed,
-        // which can leave a node with no ids.
+        // A bit-set index like DIM's, from which some sets were removed, which
+        // can leave a node with no ids.
         val byNode = mutable.HashMap.empty[Int, mutable.BitSet]
         rr.indices.foreach(id => rr(id).foreach(v => byNode.getOrElseUpdate(v, mutable.BitSet.empty) += id))
         val gone = rr.indices.filter(_ => r.nextInt(3) == 0).toSet
