@@ -4,12 +4,16 @@ import scala.collection.mutable
 import scala.util.Random
 import repro.tdn.{Tdn, TimedEdge}
 
-/** A tracker that owns the TDN G_t and its live graph over `universe`.
+/** A tracker of k seeds that owns the TDN G_t and its live graph over
+  * `universe`.
   *
-  * The live graph exists from construction, so a batch with a node id
-  * outside the universe is rejected before it changes state.
+  * k < 1 is rejected at construction. The live graph exists from
+  * construction, so a batch with a node id outside the universe is rejected
+  * before it changes state.
   */
-abstract class TdnTracker(val universe: Int) extends StreamingInfluenceAlgo {
+abstract class TdnTracker(k: Int, val universe: Int) extends StreamingInfluenceAlgo {
+  require(k >= 1, "k must be >= 1")
+
   protected val tdn   = new Tdn
   protected val graph = tdn.toDigraph(universe)
 
@@ -40,8 +44,7 @@ abstract class InstanceListTracker(
     val eps: Double,
     val maxLifetime: Int,
     universe: Int,
-) extends TdnTracker(universe) {
-  require(k >= 1, "k must be >= 1")
+) extends TdnTracker(k, universe) {
   require(eps > 0 && eps < 1, "eps must be in (0,1)")
   require(maxLifetime >= 1, "L must be >= 1")
 
@@ -109,7 +112,7 @@ abstract class InstanceListTracker(
 }
 
 /** "Greedy": CELF rerun on G_t at every query (1 − 1/e approx). */
-final class GreedyTracker(k: Int, universe: Int) extends TdnTracker(universe) {
+final class GreedyTracker(k: Int, universe: Int) extends TdnTracker(k, universe) {
   val counter = new OracleCounter
 
   override def name: String = "Greedy"
@@ -120,7 +123,7 @@ final class GreedyTracker(k: Int, universe: Int) extends TdnTracker(universe) {
 }
 
 /** "Random": k nodes uniformly from V_t. */
-final class RandomTracker(k: Int, universe: Int, seed: Long) extends TdnTracker(universe) {
+final class RandomTracker(k: Int, universe: Int, seed: Long) extends TdnTracker(k, universe) {
   private val rng = new Random(seed)
 
   override def name: String = "Random"

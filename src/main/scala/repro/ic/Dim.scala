@@ -16,10 +16,16 @@ import repro.tdn.TimedEdge
   *    success, extends by a reverse IC walk from u (the incremental insertion
   *    rule of the original system). Newly appearing nodes re-target a
   *    proportional share of the pool so targets stay ~uniform over V_t.
-  *  - Edge expiry / probability decrease: sketches containing the affected
-  *    head — and sketches whose target or members left the graph — are marked
-  *    stale and lazily resampled at query time (the original rebuilds eagerly;
-  *    lazy rebuild batches the same work).
+  *  - Edge expiry / probability decrease: `endStep` marks stale, through the
+  *    node→sketch index, the sketches holding the head of a pair whose
+  *    multiplicity fell and those holding a node that left the graph (the
+  *    alive set of the last observe/endStep minus the new one). That finds
+  *    every sketch with a departed member, without scanning the pool: each
+  *    member of a live sketch was sampled or extended on the IC graph of the
+  *    last observe/endStep, and the index lists every member of every
+  *    sketch. A sample holds its target, so this covers departed targets.
+  *    Stale sketches are lazily resampled at query time (the original
+  *    rebuilds eagerly; lazy rebuild batches the same work).
   *  - A rotating 10% slice of the pool is additionally refreshed per query,
   *    bounding the drift between long-lived sketches and the current IC graph
   *    (the original's sketch distribution is kept exact by bookkeeping we
@@ -35,7 +41,7 @@ final class DimTracker(
     universe: Int,
     beta: Int = 32,
     seed: Long = 7L,
-) extends TdnTracker(universe) {
+) extends TdnTracker(k, universe) {
 
   private val rng      = new java.util.Random(seed)
   private val poolSize = math.max(256, beta * 256)
@@ -110,42 +116,34 @@ final class DimTracker(
 
   override def endStep(): Unit = {
     super.endStep()
-    val now = tdn.interactionCounts
+    val now    = tdn.interactionCounts
+    val before = alive
     alive = tdn.aliveNodes
-    // Decreased (u, v) multiplicity invalidates sketches containing the head.
-    prevCount.foreach { case ((u, v), x) =>
-      if (now.getOrElse((u, v), 0) < x)
-        byNode.get(v).foreach(_.foreach(stale.set))
-    }
-    // Sketches holding a departed node (their target is a member) are invalid.
-    var id = 0
-    while (id < poolSize) {
-      if (!stale.get(id) && sketches(id) != null) {
-        if (sketches(id).exists(!alive.contains(_))) stale.set(id)
-      }
-      id += 1
-    }
+    // A fallen (u, v) multiplicity invalidates the sketches holding the head.
+    prevCount.foreach { case ((u, v), x) => if (now.getOrElse((u, v), 0) < x) invalidate(v) }
+    // Every member of a live sketch was alive at the last observe or endStep,
+    // so the sketches holding a departed node are exactly its index entries.
+    (before -- alive).foreach(invalidate)
     prevCount = now
     icCache = null
   }
 
+  /** Mark stale every sketch that holds v. */
+  private def invalidate(v: Int): Unit = byNode.get(v).foreach(_.foreach(stale.set))
+
   private def rebuildStale(): Unit = {
     // prevCount equals the TDN's counts after endStep.
     if (icCache == null) icCache = IcGraph.fromCounts(prevCount, universe)
-    if (icCache.nodeCount == 0) {
-      // Nothing alive: every sketch is vacuous; clear them.
-      var id = stale.nextSetBit(0)
-      while (id >= 0) { unindex(id); sketches(id) = null; id = stale.nextSetBit(id + 1) }
-      return
-    }
     var id = stale.nextSetBit(0)
     while (id >= 0) {
       unindex(id)
-      val target = icCache.nodes(rng.nextInt(icCache.nodeCount))
-      val s      = RRSets.sample(icCache, target, rng)
-      sketches(id) = s
-      index(id, s)
-      stale.clear(id)
+      if (icCache.nodeCount == 0) sketches(id) = null // nothing alive: vacuous, left stale
+      else {
+        val s = RRSets.sample(icCache, icCache.nodes(rng.nextInt(icCache.nodeCount)), rng)
+        sketches(id) = s
+        index(id, s)
+        stale.clear(id)
+      }
       id = stale.nextSetBit(id + 1)
     }
   }

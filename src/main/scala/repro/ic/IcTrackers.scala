@@ -12,7 +12,7 @@ sealed abstract class StaticIndexTracker(
     seed: Long,
     maxRR: Int,
     select: (IcGraph, Int, Double, java.util.Random, Int) => Seq[Int],
-) extends TdnTracker(universe) {
+) extends TdnTracker(k, universe) {
   private val rng = new java.util.Random(seed)
 
   override def querySolution: Seq[Int] =

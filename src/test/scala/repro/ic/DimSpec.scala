@@ -63,4 +63,14 @@ class DimSpec extends AnyFunSuite {
     d.observe(Seq.fill(40)(TimedEdge(0, 1, 10)))
     assert(d.querySolution == Seq(0))
   }
+
+  test("sketches holding a departed node go stale") {
+    val d = new DimTracker(1, universe = 4, beta = 2)
+    d.observe(Seq.fill(40)(TimedEdge(0, 1, 1)))
+    assert(d.querySolution == Seq(0))
+    // Everything expires. Node 0 had only out-edges, so its {0} sketches hold
+    // no head of a fallen pair: only its departure makes them stale.
+    d.endStep()
+    assert(d.querySolution.isEmpty)
+  }
 }

@@ -1,6 +1,7 @@
 package repro.ic
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.{BasicReduction, GreedyTracker, HistApprox, RandomTracker}
 import repro.tdn.TimedEdge
 
 class IcTrackersSpec extends AnyFunSuite {
@@ -54,5 +55,18 @@ class IcTrackersSpec extends AnyFunSuite {
     assert(new ImmTracker(1, 10).name == "IMM")
     assert(new TimPlusTracker(1, 10).name == "TIM+")
     assert(new DimTracker(1, 10).name == "DIM")
+  }
+
+  test("every tracker rejects k < 1 at construction") {
+    val makers: Seq[() => Any] = Seq(
+      () => new GreedyTracker(0, 10),
+      () => new RandomTracker(0, 10, seed = 1L),
+      () => new HistApprox(0, 0.1, 5, 10),
+      () => new BasicReduction(0, 0.1, 5, 10),
+      () => new DimTracker(0, 10),
+      () => new ImmTracker(0, 10),
+      () => new TimPlusTracker(0, 10),
+    )
+    makers.foreach(make => intercept[IllegalArgumentException](make()))
   }
 }
