@@ -151,13 +151,12 @@ final class Digraph(val universe: Int) {
     visit(s)
   }
 
-  /** The search behind every query but [[spreadOutside]], which repeats its
-    * loop with one more test: BFS over `adj` from the seeds marked since
-    * [[restart]], along edges with expiry ≥ `from`. Leaves the reached nodes,
-    * seeds first, in found(0 until n) and returns n. Costs O(nodes reached +
-    * edges scanned).
+  /** The one search behind every query: BFS over `adj` from the seeds marked
+    * since [[restart]], along edges with expiry ≥ `from`, never entering a
+    * node of the word set `stop`. Leaves the reached nodes, seeds first, in
+    * found(0 until n) and returns n. Costs O(nodes reached + edges scanned).
     */
-  private def search(adj: Array[Adj], from: Int): Int = {
+  private def search(adj: Array[Adj], from: Int, stop: Array[Long] = Array.emptyLongArray): Int = {
     var head = 0
     while (head < nFound) {
       val a = adj(found(head))
@@ -165,7 +164,7 @@ final class Digraph(val universe: Int) {
       if (a != null) {
         var j = 0
         while (j < a.n) {
-          if (a.exp(j) >= from) visit(a.to(j))
+          if (a.exp(j) >= from && !Digraph.has(stop, a.to(j))) visit(a.to(j))
           j += 1
         }
       }
@@ -203,13 +202,6 @@ final class Digraph(val universe: Int) {
     search(fwd, from)
   }
 
-  /** Influence spread of the single seed `v`: spreadOf(Seq(v), from). */
-  def spreadOf(v: Int, from: Int): Int = {
-    restart()
-    seed(v)
-    search(fwd, from)
-  }
-
   /** f({v}) over every edge. When no successor of v has an out-edge, reach(v)
     * is v and its successors, which the adjacency holds once each and without
     * v itself: their number is counted, not searched.
@@ -219,30 +211,21 @@ final class Digraph(val universe: Int) {
     if (a == null) return 1
     var j = 0
     while (j < a.n && !Digraph.has(sources, a.to(j))) j += 1
-    if (j == a.n) 1 + a.n else spreadOf(v, Int.MinValue)
+    if (j == a.n) return 1 + a.n
+    restart()
+    seed(v)
+    search(fwd, Int.MinValue)
   }
 
   /** |reach(v) \ s| over every edge, for a word set `s` spanning the universe
     * that is closed under reach (it holds the reach set of each node it
-    * holds) and does not hold v. The search does not pass through `s`: by
-    * closure, every node of reach(v) \ s is reached through nodes outside it.
+    * holds) and does not hold v: one search with `s` as its stop set, since
+    * by closure every node of reach(v) \ s is reached through nodes outside it.
     */
   def spreadOutside(v: Int, s: Array[Long]): Int = {
     restart()
     seed(v)
-    var head = 0
-    while (head < nFound) {
-      val a = fwd(found(head))
-      head += 1
-      if (a != null) {
-        var j = 0
-        while (j < a.n) {
-          if (!Digraph.has(s, a.to(j))) visit(a.to(j))
-          j += 1
-        }
-      }
-    }
-    nFound
+    search(fwd, Int.MinValue, s)
   }
 
   /** s ∪= reach(v), for an `s` as in [[spreadOutside]], returning how much `s`

@@ -149,9 +149,10 @@ final class SieveAdn private[core] (
 
   private def sees(a: SieveAdn.Arrival): Boolean = a.before < cutoff && cutoff <= a.after
 
-  /** Steps 2–5 for the inserted edges (us(e), vs(e)): distinct edges,
-    * without self-loops, that are in the graph with expiry ≥ `cutoff` and
-    * were not visible before. No edges, no work.
+  /** Steps 2–5 for the inserted edges (us(e), vs(e)): edges without
+    * self-loops that are in the graph with expiry ≥ `cutoff` and were not
+    * visible before, taken as a set: their order and repeats change nothing.
+    * No edges, no work.
     */
   private[core] def update(us: Array[Int], vs: Array[Int]): Unit = {
     if (us.isEmpty) return

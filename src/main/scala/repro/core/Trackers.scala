@@ -31,10 +31,10 @@ abstract class TdnTracker(k: Int, val universe: Int) extends StreamingInfluenceA
   * so the instance is the fixed cutoff c = t + l over the graph (see
   * [[SieveAdn]]), and the list, ascending by cutoff, shifts left by itself as
   * t advances. Lifetimes above L are capped at L before edges enter the TDN,
-  * since A_L is the last instance they reach. An instance with cutoff c is
-  * fed the arrivals whose graph expiry rises from below c to at least c, so
-  * [[feed]] visits only the cutoffs in (least expiry before, greatest expiry
-  * after] over a batch's rising arrivals. The head answers the query and is
+  * since A_L is the last instance they reach. [[feed]] offers a batch's
+  * arrivals to every instance, and the instance with cutoff c takes those
+  * whose graph expiry rises from below c to at least c (SieveADN's one rule
+  * for what it sees). The head answers the query and is
   * terminated once its cutoff is t + 1. An entry may stand for
   * [[members]] instances fed the same updates; its calls are credited once
   * per member, by [[OracleCounter]]'s rule.
@@ -79,18 +79,10 @@ abstract class InstanceListTracker(
     */
   protected def observeCapped(batch: Seq[TimedEdge]): Unit
 
-  /** Feed `arrivals` to every instance that sees one of them. */
+  /** Offer `arrivals` to every instance: each takes the ones it sees. */
   protected def feed(arrivals: Array[SieveAdn.Arrival]): Unit = {
-    var lo = Int.MaxValue
-    var hi = Int.MinValue
-    var a  = 0
-    while (a < arrivals.length) {
-      val e = arrivals(a)
-      if (e.after > e.before) { lo = math.min(lo, e.before); hi = math.max(hi, e.after) }
-      a += 1
-    }
-    var j = if (lo < hi) indexOf(lo + 1) else insts.length
-    while (j < insts.length && insts(j).cutoff <= hi) {
+    var j = 0
+    while (j < insts.length) {
       val calls = counter.calls
       insts(j).feed(arrivals)
       counter.add((counter.calls - calls) * (members(j) - 1))

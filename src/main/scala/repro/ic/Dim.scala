@@ -43,8 +43,10 @@ final class DimTracker(
     seed: Long = 7L,
 ) extends TdnTracker(k, universe) {
 
+  require(beta >= 1, s"beta must be >= 1, got $beta")
+
   private val rng      = new java.util.Random(seed)
-  private val poolSize = math.max(256, beta * 256)
+  private val poolSize = beta * 256
 
   private val sketches  = new Array[Array[Int]](poolSize)
   private val stale     = new java.util.BitSet(poolSize)

@@ -13,6 +13,8 @@ sealed abstract class StaticIndexTracker(
     maxRR: Int,
     select: (IcGraph, Int, Double, java.util.Random, Int) => Seq[Int],
 ) extends TdnTracker(k, universe) {
+  require(maxRR >= 1, s"maxRR must be >= 1, got $maxRR")
+
   private val rng = new java.util.Random(seed)
 
   override def querySolution: Seq[Int] =

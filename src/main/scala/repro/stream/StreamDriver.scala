@@ -107,7 +107,7 @@ object StreamDriver {
       algos: Seq[StreamingInfluenceAlgo],
       queryEvery: Int = 1,
   ): Map[String, Vector[StepRecord]] = {
-    require(queryEvery >= 1)
+    require(queryEvery >= 1, s"queryEvery must be >= 1, got $queryEvery")
     val loop = new StepLoop(batches.universe, algos)
     val last = batches.steps.length - 1
     batches.steps.indices.foreach(t => loop.step(batches.steps(t), (t + 1) % queryEvery == 0 || t == last))

@@ -19,6 +19,7 @@ object Lifetimes {
     */
   def geometricColumn(p: Double, maxL: Int, seed: Long): Column = {
     require(p > 0.0 && p < 1.0, s"p must be in (0,1), got $p")
+    require(maxL >= 1, s"maxL must be >= 1, got $maxL")
     least(
       lit(maxL),
       (floor(log(lit(1.0) - rand(seed)) / math.log1p(-p)) + 1).cast("int"),

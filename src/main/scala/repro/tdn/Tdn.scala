@@ -17,8 +17,8 @@ final case class TimedEdge(u: Int, v: Int, lifetime: Int) {
   * `expiry − t`. [[advance]] moves the clock and drops expired edges.
   *
   * The multiset is kept sorted by expiry, so it is its own expiry index:
-  * [[advance]] drops just the expired prefix, and [[edgesExpiringIn]] walks
-  * just the entries in its range.
+  * [[advance]] drops just the expired prefix, and [[edgesExpiringIn]] finds
+  * its range by binary search.
   *
   * From the first [[toDigraph]] call on, the TDN also owns the single live
   * reachability graph of G_t: one edge per alive (u, v), carrying the largest
@@ -139,38 +139,27 @@ final class Tdn {
     (head until end).iterator.flatMap(i => Iterator(srcOf(pairs(i)), dstOf(pairs(i)))).toSet
 
   /** The edges (u, v) of the live graph whose expiry there — the largest
-    * among their alive interactions — is in [lo, hi), each once, ascending
-    * by (u, v), as parallel arrays of tails and heads. Walks only the
-    * entries expiring in [lo, hi): an entry whose expiry a later add raised
-    * is skipped. Needs the graph ([[toDigraph]]).
+    * among their alive interactions — is in [lo, hi), as parallel arrays of
+    * tails and heads in expiry order: the current entries in that range,
+    * found by two binary searches, skipping an entry whose expiry a later add
+    * raised. An edge repeated at its graph expiry is listed once per repeat.
+    * Needs the graph ([[toDigraph]]).
     */
   def edgesExpiringIn(lo: Int, hi: Int): (Array[Int], Array[Int]) = {
     require(graph != null, "edgesExpiringIn needs the live graph: call toDigraph first")
     val from  = firstAtLeast(lo)
-    var until = from
-    while (until < end && exps(until) < hi) until += 1
-    val found = new Array[Long](until - from)
+    val until = math.max(from, firstAtLeast(hi))
+    val us    = new Array[Int](until - from)
+    val vs    = new Array[Int](until - from)
     var n     = 0
     var i     = from
     while (i < until) {
-      val p = pairs(i)
-      if (graph.expiryOf(srcOf(p), dstOf(p)) == exps(i)) { found(n) = p; n += 1 }
+      val u = srcOf(pairs(i))
+      val v = dstOf(pairs(i))
+      if (graph.expiryOf(u, v) == exps(i)) { us(n) = u; vs(n) = v; n += 1 }
       i += 1
     }
-    // Repeats of a pair at its graph expiry all match: sorted, they sit side
-    // by side and are listed once.
-    java.util.Arrays.sort(found, 0, n)
-    var m = 0
-    i = 0
-    while (i < n) {
-      if (i == 0 || found(i) != found(i - 1)) { found(m) = found(i); m += 1 }
-      i += 1
-    }
-    val us = new Array[Int](m)
-    val vs = new Array[Int](m)
-    i = 0
-    while (i < m) { us(i) = srcOf(found(i)); vs(i) = dstOf(found(i)); i += 1 }
-    (us, vs)
+    (java.util.Arrays.copyOf(us, n), java.util.Arrays.copyOf(vs, n))
   }
 
   /** G_t as a reachability graph over `universe` node ids. The graph is built

@@ -216,7 +216,7 @@ class DigraphSpec extends AnyFunSuite {
       4  -> (_.spreadOf(Seq(0, 4))),
       -1 -> (_.reachOf(-1)),
       7  -> (_.reachOf(7)),
-      5  -> (_.spreadOf(5, 0)),
+      5  -> (_.spreadOf(Seq(5), 0)),
       4  -> (_.reverseReachOf(Seq(4), Int.MinValue)),
       9  -> (_.reverseReachOf(Seq(0, 9), Int.MinValue)),
     )
@@ -263,7 +263,7 @@ class DigraphSpec extends AnyFunSuite {
           case 5 =>
             val seeds = Seq.fill(1 + rng.nextInt(3))(rng.nextInt(n))
             assert(g.spreadOf(seeds, from) == naive(seeds, from, reverse = false).size, ctx)
-            assert(g.spreadOf(u, from) == naive(Seq(u), from, reverse = false).size, ctx)
+            assert(g.spreadOf(Seq(u), from) == naive(Seq(u), from, reverse = false).size, ctx)
           case 6 =>
             val seeds = Seq.fill(1 + rng.nextInt(3))(rng.nextInt(n))
             // A multi-seed reach set is the union of each seed's.

@@ -21,7 +21,7 @@ object PerNodeCelf {
     var i     = 0
     while (i < nodes.length) { // a while loop: Array.foreach boxes each node
       counter.inc()
-      heap.push(g.spreadOf(nodes(i), Int.MinValue), nodes(i), 0)
+      heap.push(g.spreadOf(Seq(nodes(i)), Int.MinValue), nodes(i), 0)
       i += 1
     }
 

@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
 
@@ -165,6 +166,38 @@ class SieveAdnSpec extends AnyFunSuite {
     TestData.randomEdges(30, 90, 31L).grouped(3).foreach { b =>
       s.process(b)
       assert(s.runCount <= s.thresholdCount)
+    }
+  }
+
+  test("update takes its edges as a set: their order and repeats change nothing") {
+    for (seed <- 0L until 40L) {
+      val rng      = new Random(seed)
+      val n        = 2 + rng.nextInt(30)
+      val k        = 1 + rng.nextInt(4)
+      val g        = new Digraph(n)
+      val cutoff   = 5
+      val (ca, cb) = (new OracleCounter, new OracleCounter)
+      val tidy     = new SieveAdn(k, 0.2, ca, g, cutoff)
+      val messy    = new SieveAdn(k, 0.2, cb, g, cutoff)
+      for (round <- 0 until 25) {
+        val ctx   = s"seed=$seed round=$round"
+        val batch = Seq.fill(1 + rng.nextInt(6)) {
+          val u = rng.nextInt(n)
+          (u, (u + 1 + rng.nextInt(n - 1)) % n, rng.nextInt(2 * cutoff))
+        }
+        // The pairs this batch makes visible at the cutoff: distinct and
+        // sorted for one instance, shuffled with repeats for the other.
+        val seen = batch.collect { case (u, v, _) if g.expiryOf(u, v) >= cutoff => (u, v) }.toSet
+        batch.foreach { case (u, v, x) => g.addEdge(u, v, x) }
+        val fresh    = batch.collect { case (u, v, _) if g.expiryOf(u, v) >= cutoff && !seen((u, v)) => (u, v) }
+        val sorted   = fresh.distinct.sorted
+        val shuffled = rng.shuffle(fresh ++ fresh.filter(_ => rng.nextBoolean()))
+        tidy.update(sorted.map(_._1).toArray, sorted.map(_._2).toArray)
+        messy.update(shuffled.map(_._1).toArray, shuffled.map(_._2).toArray)
+        assert(messy.seedsByExponent == tidy.seedsByExponent, ctx)
+        assert(messy.delta == tidy.delta && messy.currentValue == tidy.currentValue, ctx)
+        assert(cb.calls == ca.calls, ctx)
+      }
     }
   }
 

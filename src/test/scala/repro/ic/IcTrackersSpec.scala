@@ -57,7 +57,7 @@ class IcTrackersSpec extends AnyFunSuite {
     assert(new DimTracker(1, 10).name == "DIM")
   }
 
-  test("every tracker rejects k < 1 at construction") {
+  test("every tracker rejects k < 1 or a degenerate size at construction") {
     val makers: Seq[() => Any] = Seq(
       () => new GreedyTracker(0, 10),
       () => new RandomTracker(0, 10, seed = 1L),
@@ -66,6 +66,9 @@ class IcTrackersSpec extends AnyFunSuite {
       () => new DimTracker(0, 10),
       () => new ImmTracker(0, 10),
       () => new TimPlusTracker(0, 10),
+      () => new DimTracker(1, 10, beta = 0),
+      () => new ImmTracker(1, 10, maxRR = 0),
+      () => new TimPlusTracker(1, 10, maxRR = 0),
     )
     makers.foreach(make => intercept[IllegalArgumentException](make()))
   }

@@ -8,6 +8,7 @@ class LifetimesSpec extends SparkSpec {
   test("geometricColumn rejects p outside (0, 1)") {
     intercept[IllegalArgumentException](Lifetimes.geometricColumn(0.0, 10, 1L))
     intercept[IllegalArgumentException](Lifetimes.geometricColumn(1.0, 10, 1L))
+    intercept[IllegalArgumentException](Lifetimes.geometricColumn(0.5, 0, 1L))
   }
 
   test("Spark geometric column stays within 1..L and matches the local mean") {
