@@ -34,10 +34,10 @@ abstract class TdnTracker(k: Int, val universe: Int) extends StreamingInfluenceA
   * since A_L is the last instance they reach. [[feed]] offers a batch's
   * arrivals to every instance, and the instance with cutoff c takes those
   * whose graph expiry rises from below c to at least c (SieveADN's one rule
-  * for what it sees). The head answers the query and is
-  * terminated once its cutoff is t + 1. An entry may stand for
-  * [[members]] instances fed the same updates; its calls are credited once
-  * per member, by [[OracleCounter]]'s rule.
+  * for what it sees). The head answers the query and is terminated once its
+  * cutoff is t + 1. An entry may stand for [[members]] instances fed the
+  * same updates; its calls are credited once per member, by
+  * [[OracleCounter]]'s rule.
   */
 abstract class InstanceListTracker(
     val k: Int,

@@ -27,6 +27,10 @@ def count(text):
     return n
 
 
+def show(n):
+    return "-" if n is None else str(n)
+
+
 def git(root, *args):
     return subprocess.run(["git", "-C", root, *args], check=True, capture_output=True, text=True).stdout
 
@@ -67,7 +71,6 @@ def main():
         new = count(open(path, encoding="utf-8").read()) if os.path.isfile(path) else None
         total_old += old or 0
         total_new += new or 0
-        show = lambda n: "-" if n is None else str(n)
         print(f"{f:<{width}}  {show(old):>8}  {show(new):>8}  {(new or 0) - (old or 0):>+6}")
     print(f"{'total':<{width}}  {total_old:>8}  {total_new:>8}  {total_new - total_old:>+6}")
 
