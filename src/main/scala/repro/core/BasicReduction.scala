@@ -48,14 +48,14 @@ final class BasicReduction(
 
   override protected def members(j: Int): Int = insts(j).cutoff - low(j) + 1
 
-  override protected def observeCapped(batch: Seq[TimedEdge]): Unit = {
+  override protected def observeCapped(edges: Array[TimedEdge]): Unit = {
     // Alg. 2 line 3: A_i takes the new edges with lifetime ≥ i. A_i sees an
     // arrival iff before < t + i ≤ after. A run already ends at before if the
     // pair was alive, so splitting the run across after + 1 leaves each run
     // holding only cutoffs that see the arrival or only cutoffs that do not.
     // The cutoffs up to after take a copy, which by the invariant misses no
     // edge.
-    val arrivals = SieveAdn.addTo(tdn, graph, batch)
+    val arrivals = SieveAdn.addTo(tdn, graph, edges, 0, edges.length)
     var a        = 0
     while (a < arrivals.length) {
       val e = arrivals(a)

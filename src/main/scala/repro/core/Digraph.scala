@@ -181,14 +181,19 @@ final class Digraph(val universe: Int) {
   }
 
   /** Nodes that can reach some node of `targets` (targets included) over the
-    * edges with expiry ≥ `from`, each once, in search order: one search,
-    * however many targets.
+    * edges with expiry ≥ `from`, in search order, then the nodes of `plus`
+    * not among them, each node once: one search, however many targets, and
+    * one array. SieveADN's candidate set is the reverse reach of the new
+    * edges' tails plus their heads.
     */
-  def reverseReachOf(targets: IterableOnce[Int], from: Int): Array[Int] = {
+  def reverseReachOf(targets: Array[Int], from: Int, plus: Array[Int] = Array.emptyIntArray): Array[Int] = {
     restart()
-    targets.iterator.foreach(seed)
-    val n = search(rev, from)
-    java.util.Arrays.copyOf(found, n)
+    var i = 0
+    while (i < targets.length) { seed(targets(i)); i += 1 }
+    search(rev, from)
+    i = 0
+    while (i < plus.length) { seed(plus(i)); i += 1 }
+    java.util.Arrays.copyOf(found, nFound) // `found` may have grown: read it only now
   }
 
   /** Influence spread of `seeds` over the edges with expiry ≥ `from`: the

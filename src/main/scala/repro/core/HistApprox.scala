@@ -27,14 +27,20 @@ final class HistApprox(
   /** Active index set x_t, ascending. */
   def indices: Seq[Int] = insts.map(_.cutoff - tdn.now).toSeq
 
-  /** g_t(l) for an active index l. */
-  def valueAt(l: Int): Int = insts.find(_.cutoff == tdn.now + l).get.currentValue
-
-  override protected def observeCapped(batch: Seq[TimedEdge]): Unit = {
-    // Alg. 3 line 3: process lifetime groups in increasing l.
-    batch.groupBy(_.lifetime).toSeq.sortBy(_._1).foreach { case (l, group) =>
-      feed(SieveAdn.addTo(tdn, graph, group)) // Alg. 3 line 17: the instances with index ≤ l
+  /** Alg. 3 line 3: process the lifetime groups in increasing l. One walk
+    * over the batch, stably sorted by lifetime, so each group is a range
+    * that keeps its edges in batch order; a one-edge batch is one group.
+    */
+  override protected def observeCapped(edges: Array[TimedEdge]): Unit = {
+    java.util.Arrays.sort(edges, HistApprox.byLifetime)
+    var from = 0
+    while (from < edges.length) {
+      val l     = edges(from).lifetime
+      var until = from + 1
+      while (until < edges.length && edges(until).lifetime == l) until += 1
+      feed(SieveAdn.addTo(tdn, graph, edges, from, until)) // Alg. 3 line 17: the instances with index ≤ l
       reduceRedundancy(processEdges(tdn.now + l))
+      from = until
     }
   }
 
@@ -50,39 +56,52 @@ final class HistApprox(
     // with c* = ∞ (no alive edge has expiry ≥ c, a tested invariant). Either
     // way, back-fill the alive edges the instance has not seen, the group
     // included: graph expiry in [c, c*).
-    val succ = insts.lift(p)
-    val inst = succ.fold(newInstance(c))(_.copyInstance(c))
-    val (us, vs) = tdn.edgesExpiringIn(c, succ.fold(Int.MaxValue)(_.cutoff))
+    val last     = p == insts.length
+    val inst     = if (last) newInstance(c) else insts(p).copyInstance(c)
+    val (us, vs) = tdn.edgesExpiringIn(c, if (last) Int.MaxValue else insts(p).cutoff)
     inst.update(us, vs)
     insts.insert(p, inst)
     outputs
   }
 
-  private def outputs: Array[Int] = Array.tabulate(insts.length)(insts(_).currentValue)
+  /** Every live instance's output g_t(l), in index order. */
+  private[core] def outputs: Array[Int] = {
+    val g = new Array[Int](insts.length)
+    var j = 0
+    while (j < g.length) { g(j) = insts(j).currentValue; j += 1 }
+    g
+  }
 
   /** Alg. 3 ReduceRedundancy over one snapshot `g` of the instances' outputs. */
-  private def reduceRedundancy(g: Array[Int]): Unit =
-    HistApprox.redundant(g, eps).reverseIterator.foreach(p => insts.remove(p))
+  private def reduceRedundancy(g: Array[Int]): Unit = {
+    val dead = HistApprox.redundant(g, eps)
+    var d    = dead.length - 1
+    while (d >= 0) { insts.remove(dead(d)); d -= 1 }
+  }
 }
 
 object HistApprox {
+
+  private val byLifetime: java.util.Comparator[TimedEdge] = (a, b) => Integer.compare(a.lifetime, b.lifetime)
 
   /** Positions that ReduceRedundancy kills, given the outputs g(x_1), g(x_2),
     * … in index order: walking survivors from the first, kill every position
     * strictly between i and the largest j > i with g(j) ≥ (1−ε)·g(i), then
     * resume at j. Killing an instance changes no other instance's output, so
-    * one snapshot of the outputs serves the whole pass.
+    * one snapshot of the outputs serves the whole pass. Ascending.
     */
-  private[core] def redundant(g: Array[Int], eps: Double): Seq[Int] = {
-    val dead = Seq.newBuilder[Int]
+  private[core] def redundant(g: Array[Int], eps: Double): Array[Int] = {
+    val dead = new Array[Int](g.length)
+    var n    = 0
     var i    = 0
     while (i < g.length) {
       var j = g.length - 1
       while (j > i && g(j) < (1.0 - eps) * g(i)) j -= 1
-      dead ++= (i + 1 until j)
+      var d = i + 1
+      while (d < j) { dead(n) = d; n += 1; d += 1 }
       i = math.max(j, i + 1)
     }
-    dead.result()
+    java.util.Arrays.copyOf(dead, n)
   }
 
   /** Whether ReduceRedundancy must kill a new instance inserted at position

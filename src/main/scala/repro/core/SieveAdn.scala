@@ -49,9 +49,14 @@ final class SieveAdn private[core] (
     val counter: OracleCounter,
     val graph: Digraph,
     val cutoff: Int,
+    sizes: SieveAdn.SizeTable,
 ) {
   require(k >= 1, "k must be >= 1")
   require(eps > 0 && eps < 1, "eps must be in (0,1)")
+
+  /** An instance with its own size table. */
+  private[core] def this(k: Int, eps: Double, counter: OracleCounter, graph: Digraph, cutoff: Int) =
+    this(k, eps, counter, graph, cutoff, new SieveAdn.SizeTable(k, eps))
 
   def this(k: Int, eps: Double, universe: Int, counter: OracleCounter) =
     this(k, eps, counter, new Digraph(universe), Int.MinValue)
@@ -60,11 +65,12 @@ final class SieveAdn private[core] (
 
   val universe: Int        = graph.universe
   private var deltaMax: Int = 0 // Δ: max singleton spread seen
+  private var slidAt: Int   = 0 // Δ at the last slide of the window
   // Runs ascending: runs(j) is S_θi for every exponent i from runs(j).first
   // up to last(j).
-  private val runs    = mutable.ArrayBuffer.empty[Sieve]
-  private var top     = 0 // the window's highest exponent
-  private val logBase = math.log1p(eps)
+  private val runs = mutable.ArrayBuffer.empty[Sieve]
+  private var top  = 0 // the window's highest exponent
+  private var best = 0 // currentValue, or −1 until it is next read
 
   /** ⌈θ_i⌉ for θ_i = (1+ε)^i / (2k): the least gain sieve i accepts. */
   private def need(i: Int): Int = math.ceil(math.pow(1.0 + eps, i) / (2.0 * k)).toInt
@@ -72,19 +78,21 @@ final class SieveAdn private[core] (
   /** The highest exponent of run j. */
   private def last(j: Int): Int = if (j + 1 < runs.length) runs(j + 1).first - 1 else top
 
-  /** Largest exponent i with (1+ε)^i ≤ x. */
-  private def floorExp(x: Double): Int = math.floor(math.log(x) / logBase + 1e-9).toInt
-
   /** Alg. 1 lines 5–7: slide the window to the exponents i with
     * (1+ε)^i ∈ [Δ, 2kΔ], keeping the sieves of exponents still inside it.
     * Δ only grows, so both ends only rise: the runs wholly below the new low
     * end drop, the first is trimmed to it, and the exponents above the old
     * top join the last run if it is empty, or open an empty run otherwise.
+    * The window is a function of Δ, so a Δ equal to the last slide's (or
+    * still 0) returns at once; the top end is read from the size table,
+    * grown here to Δ.
     */
   private def refreshThresholds(): Unit = {
-    if (deltaMax <= 0) return
-    val lo = math.ceil(math.log(deltaMax.toDouble) / logBase - 1e-9).toInt
-    val hi = floorExp(2.0 * k * deltaMax)
+    if (deltaMax == slidAt) return
+    slidAt = deltaMax
+    sizes.cover(deltaMax)
+    val lo = sizes.ceilExp(deltaMax)
+    val hi = sizes(deltaMax)
     var d  = 0
     while (d < runs.length && last(d) < lo) d += 1
     runs.remove(0, d)
@@ -96,23 +104,16 @@ final class SieveAdn private[core] (
     top = hi
   }
 
-  /** Candidate set V̄, ascending: for each newly inserted edge (us(e), vs(e)),
-    * the head plus every node that can reach the tail (their spread grew).
-    * Computed on the post-insert graph by one reverse search from every tail;
-    * reverse BFS is bookkeeping, not an oracle call.
+  /** Candidate set V̄, ascending and distinct: for each newly inserted edge
+    * (us(e), vs(e)), the head plus every node that can reach the tail (their
+    * spread grew). Computed on the post-insert graph by one reverse search
+    * from every tail, into one array with the heads; reverse BFS is
+    * bookkeeping, not an oracle call.
     */
   private def candidates(us: Array[Int], vs: Array[Int]): Array[Int] = {
-    val reached = graph.reverseReachOf(us, cutoff)
-    val all     = java.util.Arrays.copyOf(reached, reached.length + vs.length)
-    System.arraycopy(vs, 0, all, reached.length, vs.length)
+    val all = graph.reverseReachOf(us, cutoff, vs)
     java.util.Arrays.sort(all)
-    var n = 0
-    var i = 0
-    while (i < all.length) {
-      if (n == 0 || all(n - 1) != all(i)) { all(n) = all(i); n += 1 }
-      i += 1
-    }
-    java.util.Arrays.copyOf(all, n)
+    all
   }
 
   /** Process one batch of arriving edges into a stand-alone instance's own
@@ -156,6 +157,7 @@ final class SieveAdn private[core] (
     */
   private[core] def update(us: Array[Int], vs: Array[Int]): Unit = {
     if (us.isEmpty) return
+    best = -1
     val cand = candidates(us, vs)
 
     // Δ update (Alg. 1 line 4) — f({v}) for each candidate, one call each;
@@ -204,11 +206,12 @@ final class SieveAdn private[core] (
     // can still meet the smallest; the call count stays one per sieve.
     // Submodularity pruning: δ_S(v) ≤ f({v}), so thresholds above f({v})
     // are guaranteed rejections — skip them without an oracle call.
+    var accepted = false
     c = 0
     while (c < cand.length) {
       val v  = cand(c)
       val rv = candReach(c)
-      val hv = floorExp(2.0 * k * rv.length)
+      val hv = sizes(rv.length) // |r| ≤ Δ, which the table covers
       var j  = 0
       while (j < runs.length && runs(j).first <= hv) {
         val s = runs(j)
@@ -229,6 +232,7 @@ final class SieveAdn private[core] (
               j += 1
             }
             s.accept(v, rv)
+            accepted = true
           }
         }
         j += 1
@@ -237,21 +241,30 @@ final class SieveAdn private[core] (
     }
 
     // A run that took the same candidates, in the same order, as the run
-    // below it holds the same S again: merge it into that run.
-    j = runs.length - 1
-    while (j > 0) {
-      if (runs(j).sameMembers(runs(j - 1))) runs.remove(j)
-      j -= 1
+    // below it holds the same S again: merge it into that run. Only an
+    // accept can make two adjacent runs equal: between accepts they hold
+    // distinct member lists, the sweep changes values only, and a slide
+    // only drops runs, trims the first or opens an empty run above a
+    // non-empty one.
+    if (accepted) {
+      j = runs.length - 1
+      while (j > 0) {
+        if (runs(j).sameMembers(runs(j - 1))) runs.remove(j)
+        j -= 1
+      }
     }
   }
 
   /** g = f(S_{θ*}): value of the best sieve set (Alg. 1 line 12). Cached
-    * values are maintained exactly, so this is free of oracle calls.
+    * values are maintained exactly, so this is free of oracle calls; the
+    * best of them is found once per update, at the first read after it.
     */
   def currentValue: Int = {
-    var best = 0
-    var j    = 0
-    while (j < runs.length) { if (runs(j).value > best) best = runs(j).value; j += 1 }
+    if (best < 0) {
+      best = 0
+      var j = 0
+      while (j < runs.length) { if (runs(j).value > best) best = runs(j).value; j += 1 }
+    }
     best
   }
 
@@ -279,10 +292,13 @@ final class SieveAdn private[core] (
     */
   private[core] def copyInstance(cutoff: Int): SieveAdn = {
     require(cutoff < this.cutoff, s"copy cutoff $cutoff must be below ${this.cutoff}")
-    val c = new SieveAdn(k, eps, counter, graph, cutoff)
+    val c = new SieveAdn(k, eps, counter, graph, cutoff, sizes)
     c.deltaMax = deltaMax
-    c.runs ++= runs.map(_.copySieve())
+    c.slidAt = slidAt
+    var j = 0
+    while (j < runs.length) { c.runs += runs(j).copySieve(); j += 1 }
     c.top = top
+    c.best = best
     c
   }
 }
@@ -295,14 +311,84 @@ object SieveAdn {
     */
   private[core] final case class Arrival(u: Int, v: Int, before: Int, after: Int)
 
-  /** Add `batch`, which has passed [[Tdn.check]], to `tdn`, whose live graph
-    * is `graph`, and return its arrivals.
+  /** Add edges(from until until), a range of a batch that has passed
+    * [[Tdn.check]], to `tdn`, whose live graph is `graph`, and return its
+    * arrivals in first-occurrence order. The range is not checked again.
     */
-  private[core] def addTo(tdn: Tdn, graph: Digraph, batch: Seq[TimedEdge]): Array[Arrival] = {
-    val pairs  = batch.iterator.filter(e => e.u != e.v).map(e => (e.u, e.v)).distinct.toArray
-    val before = pairs.map { case (u, v) => graph.expiryOf(u, v) }
-    tdn.add(batch)
-    pairs.zip(before).map { case ((u, v), b) => Arrival(u, v, b, graph.expiryOf(u, v)) }
+  private[core] def addTo(tdn: Tdn, graph: Digraph, edges: Array[TimedEdge], from: Int, until: Int): Array[Arrival] = {
+    val pairs  = distinctPairs(edges, from, until)
+    val before = new Array[Int](pairs.length)
+    var i      = 0
+    while (i < pairs.length) { before(i) = graph.expiryOf(tail(pairs(i)), head(pairs(i))); i += 1 }
+    tdn.addChecked(edges, from, until)
+    val out = new Array[Arrival](pairs.length)
+    i = 0
+    while (i < pairs.length) {
+      val u = tail(pairs(i))
+      val v = head(pairs(i))
+      out(i) = Arrival(u, v, before(i), graph.expiryOf(u, v))
+      i += 1
+    }
+    out
+  }
+
+  private def tail(p: Long): Int = (p >>> 32).toInt
+  private def head(p: Long): Int = p.toInt
+
+  /** The distinct non-loop pairs u << 32 | v of edges(from until until), in
+    * first-occurrence order: O(n) expected, through an open-addressing set
+    * with at least twice as many slots as edges. Node ids are ≥ 0, so no
+    * pair is −1, the empty slot.
+    */
+  private def distinctPairs(edges: Array[TimedEdge], from: Int, until: Int): Array[Long] = {
+    val out  = new Array[Long](until - from)
+    val set  = new Array[Long](Integer.highestOneBit(math.max(1, until - from)) << 2)
+    val mask = set.length - 1
+    java.util.Arrays.fill(set, -1L)
+    var n = 0
+    var i = from
+    while (i < until) {
+      val e = edges(i)
+      if (e.u != e.v) {
+        val p = e.u.toLong << 32 | e.v
+        var h = (java.lang.Long.hashCode(p) * 0x9e3779b9) >>> 7 & mask
+        while (set(h) != -1L && set(h) != p) h = (h + 1) & mask
+        if (set(h) == -1L) { set(h) = p; out(n) = p; n += 1 }
+      }
+      i += 1
+    }
+    java.util.Arrays.copyOf(out, n)
+  }
+
+  /** floorExp(2k·n) for n = 0, 1, …: the window's top exponent when Δ = n,
+    * and the highest exponent whose ⌈θ⌉ a candidate reaching n nodes can
+    * meet. [[cover]] grows it to n = Δ as Δ rises, so it holds at most Δ + 1
+    * entries for the largest Δ of the instances sharing it: one tracker's,
+    * or one stand-alone instance and its copies.
+    */
+  private[core] final class SizeTable(k: Int, eps: Double) {
+    private val logBase = math.log1p(eps)
+    private var tops    = Array.emptyIntArray
+
+    /** Largest exponent i with (1+ε)^i ≤ x. */
+    private def floorExp(x: Double): Int = math.floor(math.log(x) / logBase + 1e-9).toInt
+
+    /** Least exponent i with (1+ε)^i ≥ n. */
+    def ceilExp(n: Int): Int = math.ceil(math.log(n.toDouble) / logBase - 1e-9).toInt
+
+    /** Hold entries 0 to n. */
+    def cover(n: Int): Unit =
+      if (n >= tops.length) {
+        val t = java.util.Arrays.copyOf(tops, n + 1)
+        var i = tops.length
+        while (i <= n) { t(i) = floorExp(2.0 * k * i); i += 1 }
+        tops = t
+      }
+
+    /** floorExp(2k·n), for an n the table covers. */
+    def apply(n: Int): Int = tops(n)
+
+    def length: Int = tops.length
   }
 
   /** A run's sieve set S_θ, members(0 until size), with exactly-maintained

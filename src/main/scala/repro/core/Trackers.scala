@@ -38,6 +38,12 @@ abstract class TdnTracker(k: Int, val universe: Int) extends StreamingInfluenceA
   * cutoff is t + 1. An entry may stand for [[members]] instances fed the
   * same updates; its calls are credited once per member, by
   * [[OracleCounter]]'s rule.
+  *
+  * The step path is primitive loops over arrays. [[observe]] reads the batch
+  * into one array, re-making only the edges whose lifetime it caps, and
+  * checks it once, before any of it changes state; [[SieveAdn.addTo]] then
+  * adds its ranges to the TDN without a second check. The instances share one
+  * [[SieveAdn.SizeTable]].
   */
 abstract class InstanceListTracker(
     val k: Int,
@@ -49,10 +55,11 @@ abstract class InstanceListTracker(
   require(maxLifetime >= 1, "L must be >= 1")
 
   protected val counter = new OracleCounter
+  private val sizes     = new SieveAdn.SizeTable(k, eps)
   // Ascending by cutoff; the head answers the query.
   protected val insts = mutable.ArrayDeque.empty[SieveAdn]
 
-  protected def newInstance(cutoff: Int): SieveAdn = new SieveAdn(k, eps, counter, graph, cutoff)
+  protected def newInstance(cutoff: Int): SieveAdn = new SieveAdn(k, eps, counter, graph, cutoff, sizes)
 
   /** Index of the first instance whose cutoff is at least c. */
   protected def indexOf(c: Int): Int = {
@@ -69,15 +76,21 @@ abstract class InstanceListTracker(
   protected def members(j: Int): Int = 1
 
   override def observe(batch: Seq[TimedEdge]): Unit = {
-    val capped = batch.map(e => if (e.lifetime > maxLifetime) e.copy(lifetime = maxLifetime) else e)
-    tdn.check(capped) // reject a bad batch before any part of it changes state
-    observeCapped(capped)
+    val edges = batch.toArray
+    var i     = 0
+    while (i < edges.length) {
+      if (edges(i).lifetime > maxLifetime) edges(i) = edges(i).copy(lifetime = maxLifetime)
+      i += 1
+    }
+    tdn.check(edges) // reject a bad batch before any part of it changes state
+    observeCapped(edges)
   }
 
   /** Add a checked batch whose lifetimes are at most L to G_t, by
-    * [[SieveAdn.addTo]], and feed its arrivals.
+    * [[SieveAdn.addTo]], and feed its arrivals. The array is the tracker's
+    * own, to reorder.
     */
-  protected def observeCapped(batch: Seq[TimedEdge]): Unit
+  protected def observeCapped(edges: Array[TimedEdge]): Unit
 
   /** Offer `arrivals` to every instance: each takes the ones it sees. */
   protected def feed(arrivals: Array[SieveAdn.Arrival]): Unit = {
@@ -90,10 +103,10 @@ abstract class InstanceListTracker(
     }
   }
 
-  override def querySolution: Seq[Int] = insts.headOption.map(_.solution).getOrElse(Nil)
+  override def querySolution: Seq[Int] = if (insts.isEmpty) Nil else insts.head.solution
 
   /** g_t of the head instance, the query's value. */
-  def currentValue: Int = insts.headOption.map(_.currentValue).getOrElse(0)
+  def currentValue: Int = if (insts.isEmpty) 0 else insts.head.currentValue
 
   override def endStep(): Unit = {
     if (insts.nonEmpty && insts.head.cutoff == tdn.now + 1) insts.removeHead() // terminate A_1

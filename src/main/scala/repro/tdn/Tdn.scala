@@ -66,11 +66,21 @@ final class Tdn {
     */
   def add(batch: Iterable[TimedEdge]): Unit = {
     check(batch)
-    batch.foreach { e =>
-      val expiry = clock + e.lifetime
-      insert(e.u.toLong << 32 | e.v, expiry)
-      if (graph != null) graph.addEdge(e.u, e.v, expiry)
-    }
+    batch.foreach(addEdge)
+  }
+
+  /** Add edges(from until until), a range of a batch that has passed
+    * [[check]] at the current time, without checking it again.
+    */
+  private[repro] def addChecked(edges: Array[TimedEdge], from: Int, until: Int): Unit = {
+    var i = from
+    while (i < until) { addEdge(edges(i)); i += 1 }
+  }
+
+  private def addEdge(e: TimedEdge): Unit = {
+    val expiry = clock + e.lifetime
+    insert(e.u.toLong << 32 | e.v, expiry)
+    if (graph != null) graph.addEdge(e.u, e.v, expiry)
   }
 
   /** Insert an entry after every entry expiring no later. Full arrays first

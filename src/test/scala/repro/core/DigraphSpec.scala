@@ -48,7 +48,7 @@ class DigraphSpec extends AnyFunSuite {
     val g = new Digraph(10)
     g.addEdge(0, 1); g.addEdge(0, 2); g.addEdge(3, 0)
     assert(g.reachOf(0).toSet == Set(0, 1, 2))
-    assert(g.reverseReachOf(Seq(0), Int.MinValue).toSet == Set(0, 3))
+    assert(g.reverseReachOf(Array(0), Int.MinValue).toSet == Set(0, 3))
     assert(g.reachOf(1).toSeq == Seq(1))
   }
 
@@ -81,7 +81,7 @@ class DigraphSpec extends AnyFunSuite {
 
   test("reverseReach collects all ancestors") {
     val g = TestData.digraphOf(6, Seq((0, 2), (1, 2), (2, 3), (4, 5)))
-    assert(g.reverseReachOf(Seq(3), Int.MinValue).toSet == Set(0, 1, 2, 3))
+    assert(g.reverseReachOf(Array(3), Int.MinValue).toSet == Set(0, 1, 2, 3))
   }
 
   test("reach agrees with a reference BFS on random graphs") {
@@ -98,7 +98,7 @@ class DigraphSpec extends AnyFunSuite {
     val edges = TestData.randomEdges(20, 40, 99L)
     val g     = TestData.digraphOf(20, edges)
     for (v <- 0 until 20) {
-      val rev  = g.reverseReachOf(Seq(v), Int.MinValue).toSet
+      val rev  = g.reverseReachOf(Array(v), Int.MinValue).toSet
       val want = (0 until 20).filter(u => g.reachOf(u).contains(v)).toSet
       assert(rev == want)
     }
@@ -114,7 +114,7 @@ class DigraphSpec extends AnyFunSuite {
     assert(g.reachOf(0, from = 4).length == 2)
     assert(g.reachOf(2, from = 6).length == 2)
     assert(g.reachOf(0, from = 6).length == 1)
-    assert(g.reverseReachOf(Seq(3), from = 4).sorted.toSeq == Seq(2, 3))
+    assert(g.reverseReachOf(Array(3), from = 4).sorted.toSeq == Seq(2, 3))
   }
 
   test("adding an edge again raises its expiry to the larger value") {
@@ -125,7 +125,7 @@ class DigraphSpec extends AnyFunSuite {
     assert(!g.addEdge(0, 1, expiry = 2))
     assert(g.expiryOf(0, 1) == 9)
     assert(g.edgeCount == 1)
-    assert(g.reverseReachOf(Seq(1), from = 9).contains(0))
+    assert(g.reverseReachOf(Array(1), from = 9).contains(0))
     assert(g.expiryOf(1, 0) == Int.MinValue)
   }
 
@@ -140,7 +140,7 @@ class DigraphSpec extends AnyFunSuite {
     assert(g.expiryOf(0, 1) == 4 && g.expiryOf(1, 2) == Int.MinValue)
     assert(g.edgeCount == 2)
     assert(g.nodeArray.toSeq == Seq(0, 1, 3, 4) && g.nodeCount == 4)
-    assert(g.reverseReachOf(Seq(2), Int.MinValue).toSeq == Seq(2) && g.reachOf(1).toSeq == Seq(1))
+    assert(g.reverseReachOf(Array(2), Int.MinValue).toSeq == Seq(2) && g.reachOf(1).toSeq == Seq(1))
     g.expire(3, 4, now = 3)
     g.expire(0, 1, now = 4)
     assert(g.edgeCount == 0 && g.nodeCount == 0 && g.nodeArray.isEmpty)
@@ -217,8 +217,8 @@ class DigraphSpec extends AnyFunSuite {
       -1 -> (_.reachOf(-1)),
       7  -> (_.reachOf(7)),
       5  -> (_.spreadOf(Seq(5), 0)),
-      4  -> (_.reverseReachOf(Seq(4), Int.MinValue)),
-      9  -> (_.reverseReachOf(Seq(0, 9), Int.MinValue)),
+      4  -> (_.reverseReachOf(Array(4), Int.MinValue)),
+      9  -> (_.reverseReachOf(Array(0, 9), Int.MinValue)),
     )
     bad.foreach { case (seed, search) =>
       val e = intercept[IllegalArgumentException](search(g))
@@ -269,14 +269,19 @@ class DigraphSpec extends AnyFunSuite {
             // A multi-seed reach set is the union of each seed's.
             assert(seeds.flatMap(g.reachOf(_, from)).toSet == naive(seeds, from, reverse = false), ctx)
           case 7 =>
-            assert(g.reverseReachOf(Seq(u), from).toSet == naive(Seq(u), from, reverse = true), ctx)
+            assert(g.reverseReachOf(Array(u), from).toSet == naive(Seq(u), from, reverse = true), ctx)
           case _ =>
             // One multi-target search equals the union of single searches.
             val targets = Seq.fill(1 + rng.nextInt(4))(rng.nextInt(n))
-            val r       = g.reverseReachOf(targets, from)
+            val r       = g.reverseReachOf(targets.toArray, from)
             assert(r.distinct.length == r.length, ctx)
             assert(r.toSet == targets.map(t => naive(Seq(t), from, reverse = true)).reduce(_ | _), ctx)
-            assert(r.toSet == targets.map(t => g.reverseReachOf(Seq(t), from).toSet).reduce(_ | _), ctx)
+            assert(r.toSet == targets.map(t => g.reverseReachOf(Array(t), from).toSet).reduce(_ | _), ctx)
+            // Nodes `plus` follow the reverse reach, each node still once.
+            val plus = Array.fill(rng.nextInt(4))(rng.nextInt(n))
+            val rp   = g.reverseReachOf(targets.toArray, from, plus)
+            assert(rp.take(r.length).toSeq == r.toSeq && rp.distinct.length == rp.length, ctx)
+            assert(rp.toSet == r.toSet ++ plus, ctx)
             mostReached = math.max(mostReached, r.length)
         }
         assert(g.edgeCount == model.size, ctx)

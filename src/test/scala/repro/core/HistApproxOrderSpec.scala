@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
 import repro.tdn.TimedEdge
@@ -8,17 +9,38 @@ import repro.tdn.TimedEdge
 class HistApproxOrderSpec extends AnyFunSuite {
 
   test("within-batch input order does not matter (groups are processed by lifetime)") {
-    val batch = Seq(
-      TimedEdge(0, 1, 5), TimedEdge(2, 3, 2), TimedEdge(4, 5, 9),
-      TimedEdge(6, 7, 2), TimedEdge(8, 9, 5),
-    )
-    val a = new HistApprox(2, 0.2, 10, 12)
-    val b = new HistApprox(2, 0.2, 10, 12)
-    a.observe(batch)
-    b.observe(new scala.util.Random(1L).shuffle(batch))
-    assert(a.indices == b.indices)
-    assert(a.currentValue == b.currentValue)
-    assert(a.querySolution.toSet == b.querySolution.toSet)
+    // Seeded multi-step streams whose batches mix lifetimes (some above L),
+    // repeat a pair with another lifetime and hold self-loops. One tracker
+    // takes each batch as drawn, the other shuffled.
+    var mixed = 0
+    for (seed <- 1L to 30L) {
+      val rng      = new Random(seed)
+      val universe = 6 + rng.nextInt(20)
+      val maxL     = 3 + rng.nextInt(10)
+      val k        = 1 + rng.nextInt(3)
+      val eps      = Seq(0.1, 0.2, 0.3)(rng.nextInt(3))
+      val a        = new HistApprox(k, eps, maxL, universe)
+      val b        = new HistApprox(k, eps, maxL, universe)
+      for (step <- 0 until 30) {
+        val ctx   = s"seed=$seed step=$step"
+        val drawn = Seq.fill(1 + rng.nextInt(8)) {
+          TimedEdge(rng.nextInt(universe), rng.nextInt(universe), 1 + rng.nextInt(maxL + 3))
+        }
+        val repeats = drawn.take(rng.nextInt(3)).map(e => e.copy(lifetime = e.lifetime % (maxL + 3) + 1))
+        val loops   = Seq.fill(rng.nextInt(2)) { val u = rng.nextInt(universe); TimedEdge(u, u, 1 + rng.nextInt(maxL)) }
+        val batch   = drawn ++ repeats ++ loops
+        if (batch.map(_.lifetime.min(maxL)).distinct.size > 1) mixed += 1
+        a.observe(batch)
+        b.observe(rng.shuffle(batch))
+        assert(a.indices == b.indices, ctx)
+        assert(a.currentValue == b.currentValue, ctx)
+        assert(a.querySolution == b.querySolution, ctx)
+        assert(a.oracleCalls == b.oracleCalls, ctx)
+        a.endStep()
+        b.endStep()
+      }
+    }
+    assert(mixed > 500, s"only $mixed batches held more than one lifetime group")
   }
 
   test("endStep without observe is a no-op on an empty tracker") {

@@ -126,22 +126,22 @@ class HistApproxSpec extends AnyFunSuite {
     h.endStep()
     h.observe(Seq(TimedEdge(3, 4, 6)))
     assert(h.indices == Seq(4, 6, 9))
-    assert(h.valueAt(4) == 3 && h.valueAt(6) == 2 && h.valueAt(9) == 2)
+    assert(h.outputs.toSeq == Seq(3, 2, 2))
   }
 
   test("ReduceRedundancy resumes at the survivor j, not at i + 1") {
     // Outputs 8, 4, 4, 2 with eps = 0.5: from the 1st, the largest j with
     // g(j) >= 4 is the 3rd, so the 2nd dies and the walk resumes at the 3rd,
     // whose neighbour is the 4th. Resuming at the dead 2nd would kill the 3rd.
-    assert(HistApprox.redundant(Array(8, 4, 4, 2), 0.5) == Seq(1))
-    assert(HistApprox.redundant(Array(8, 5, 4, 3, 2, 1), 0.5) == Seq(1, 3))
+    assert(HistApprox.redundant(Array(8, 4, 4, 2), 0.5).toSeq == Seq(1))
+    assert(HistApprox.redundant(Array(8, 5, 4, 3, 2, 1), 0.5).toSeq == Seq(1, 3))
     // The same outputs in a tracker, k = 1: indices 2, 4, 6 hold stars of 8,
     // 4 and 2 nodes; index 3 is then created as a copy of index 4's sieves.
     val h = new HistApprox(1, 0.5, 20, universe = 20)
     val stars = (1 to 7).map(TimedEdge(0, _, 2)) ++ (9 to 11).map(TimedEdge(8, _, 4))
     h.observe(stars :+ TimedEdge(12, 13, 6))
     assert(h.indices == Seq(2, 4, 6))
-    assert(h.indices.map(h.valueAt) == Seq(8, 4, 2))
+    assert(h.outputs.toSeq == Seq(8, 4, 2))
     h.observe(Seq(TimedEdge(14, 15, 3)))
     assert(h.indices == Seq(2, 4, 6))
   }

@@ -33,9 +33,9 @@ final class PerInstanceBasicReduction(
   override def observe(batch: Seq[TimedEdge]): Unit = {
     // Alg. 2 line 3: A_i takes the new edges with lifetime ≥ i, i.e. expiry
     // reaching its cutoff.
-    val capped   = batch.map(e => if (e.lifetime > maxLifetime) e.copy(lifetime = maxLifetime) else e)
+    val capped   = batch.map(e => if (e.lifetime > maxLifetime) e.copy(lifetime = maxLifetime) else e).toArray
     tdn.check(capped)
-    val arrivals = SieveAdn.addTo(tdn, graph, capped)
+    val arrivals = SieveAdn.addTo(tdn, graph, capped, 0, capped.length)
     if (arrivals.isEmpty) return
     // A_i sees an arrival iff before < t + i ≤ after, so only the instances
     // with cutoff in (min before, max after] can see any: feed just those.

@@ -71,7 +71,7 @@ class SieveAdnRunsSpec extends AnyFunSuite {
           val copy   = (s.copyInstance(5), r.copyInstance(5))
           same(copy._1, copy._2, (sc.calls, rc.calls), s"seed $seed copy")
           // Back-fill: the edges the copy sees and its source does not.
-          val backFill = expiry.collect { case (e, x) if x >= 5 && x < 10 => e }.toSeq.sorted
+          val backFill = expiry.toSeq.collect { case (e, x) if x >= 5 && x < 10 => e }.sorted
           if (backFill.nonEmpty) feed(copy, backFill, s"back-fill at step $step")
           pairs += copy
         }
@@ -90,5 +90,58 @@ class SieveAdnRunsSpec extends AnyFunSuite {
       }
       assert(pairs.length == 2)
     }
+  }
+
+  test("after every update the value is the best run's spread and adjacent runs hold different members") {
+    // Instances over one graph, created HistApprox's way: a copy of the
+    // instance at the next cutoff up, back-filled with the edges whose expiry
+    // lies between the two cutoffs. Arrivals raise expiries at random.
+    var dropped = 0
+    for (seed <- 1 to 80) {
+      val rnd                = new Random(2000 + seed)
+      val (universe, k, eps) = draw(rnd)
+      val g                  = new Digraph(universe)
+      val counter            = new OracleCounter
+      val insts              = mutable.ArrayBuffer(new SieveAdn(k, eps, counter, g, 30)) // ascending by cutoff
+      val expiry             = mutable.Map.empty[(Int, Int), Int]
+
+      def update(s: SieveAdn, edges: Seq[(Int, Int)], at: String): Unit = {
+        val before = s.seedsByExponent
+        s.update(edges.map(_._1).toArray, edges.map(_._2).toArray)
+        val byExp = s.seedsByExponent
+        val ctx   = s"seed $seed (|V| $universe, k $k, ε $eps) cutoff ${s.cutoff} $at"
+        val best  = byExp.map { case (_, seeds) => g.spreadOf(seeds, s.cutoff) }.maxOption.getOrElse(0)
+        assert(s.currentValue == best, s"$ctx: value")
+        // Collapsing equal neighbours among the exponents' member lists
+        // leaves one list per run iff no two adjacent runs hold the same one.
+        val lists = byExp.map(_._2)
+        assert(lists.indices.count(i => i == 0 || lists(i) != lists(i - 1)) == s.runCount, s"$ctx: runs")
+        // A run wholly below the new low end was dropped by the slide.
+        if (before.indices.exists(i => i + 1 < before.length && before(i)._1 < byExp.head._1 && before(i)._2 != before(i + 1)._2))
+          dropped += 1
+      }
+
+      for (step <- 0 until 40) {
+        val c = 1 + rnd.nextInt(29)
+        if (rnd.nextInt(4) == 0 && !insts.exists(_.cutoff == c)) {
+          val p        = insts.indexWhere(_.cutoff > c)
+          val copy     = insts(p).copyInstance(c)
+          val backFill = expiry.toSeq.collect { case (e, x) if x >= c && x < insts(p).cutoff => e }.sorted
+          if (backFill.nonEmpty) update(copy, backFill, s"back-fill at step $step")
+          insts.insert(p, copy)
+        }
+        val arrivals = batch(rnd, universe).filter(e => e._1 != e._2).distinct.map { case (u, v) =>
+          val before = g.expiryOf(u, v)
+          g.addEdge(u, v, 1 + rnd.nextInt(40))
+          expiry((u, v)) = g.expiryOf(u, v)
+          (u, v, before, g.expiryOf(u, v))
+        }
+        insts.foreach { s =>
+          val seen = arrivals.collect { case (u, v, before, after) if before < s.cutoff && s.cutoff <= after => (u, v) }
+          if (seen.nonEmpty) update(s, seen, s"step $step")
+        }
+      }
+    }
+    assert(dropped > 0, "no update dropped a run")
   }
 }

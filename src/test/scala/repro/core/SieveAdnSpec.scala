@@ -201,6 +201,20 @@ class SieveAdnSpec extends AnyFunSuite {
     }
   }
 
+  test("the size table holds floorExp(2k·n) for every n it covers and grows only to the n asked") {
+    for (k <- Seq(1, 3, 10, 50); eps <- Seq(0.05, 0.1, 0.2, 0.3)) {
+      val t = new SieveAdn.SizeTable(k, eps)
+      t.cover(7)
+      t.cover(3)
+      assert(t.length == 8)
+      t.cover(20000)
+      assert(t.length == 20001)
+      val logBase = math.log1p(eps)
+      val wrong   = (0 to 20000).find(n => t(n) != math.floor(math.log(2.0 * k * n) / logBase + 1e-9).toInt)
+      assert(wrong.isEmpty, s"k=$k eps=$eps n=$wrong")
+    }
+  }
+
   test("oracle calls grow with candidates, not with universe size") {
     val cBig   = new OracleCounter
     val sBig   = new SieveAdn(2, 0.1, 10000, cBig)
