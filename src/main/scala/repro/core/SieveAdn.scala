@@ -344,6 +344,7 @@ object SieveAdn {
     val out  = new Array[Long](until - from)
     val set  = new Array[Long](Integer.highestOneBit(math.max(1, until - from)) << 2)
     val mask = set.length - 1
+    val bits = Integer.numberOfTrailingZeros(set.length)
     java.util.Arrays.fill(set, -1L)
     var n = 0
     var i = from
@@ -351,7 +352,7 @@ object SieveAdn {
       val e = edges(i)
       if (e.u != e.v) {
         val p = e.u.toLong << 32 | e.v
-        var h = (java.lang.Long.hashCode(p) * 0x9e3779b9) >>> 7 & mask
+        var h = ((p * 0x9e3779b97f4a7c15L) >>> (64 - bits)).toInt // Fibonacci hashing: the product's top bits
         while (set(h) != -1L && set(h) != p) h = (h + 1) & mask
         if (set(h) == -1L) { set(h) = p; out(n) = p; n += 1 }
       }

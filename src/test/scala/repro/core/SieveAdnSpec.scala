@@ -215,6 +215,33 @@ class SieveAdnSpec extends AnyFunSuite {
     }
   }
 
+  test("addTo adds its range and returns each distinct non-loop pair once, in first-occurrence order") {
+    val rnd = new Random(31L)
+    for (round <- 0 until 40) {
+      val universe = 2 + rnd.nextInt(30)
+      val tdn      = new repro.tdn.Tdn
+      val g        = tdn.toDigraph(universe)
+      for (step <- 0 until 5) {
+        val edges = Array.fill(1 + rnd.nextInt(400)) {
+          repro.tdn.TimedEdge(rnd.nextInt(universe), rnd.nextInt(universe), 1 + rnd.nextInt(9))
+        }
+        val from   = rnd.nextInt(edges.length)
+        val until  = from + rnd.nextInt(edges.length - from + 1)
+        val range  = edges.slice(from, until)
+        val pairs  = range.filter(e => e.u != e.v).map(e => (e.u, e.v)).distinct
+        val before = pairs.map { case (u, v) => g.expiryOf(u, v) }
+        val alive  = tdn.aliveCount
+        val got    = SieveAdn.addTo(tdn, g, edges, from, until)
+        val ctx    = s"round $round step $step range [$from, $until) of ${edges.length}"
+        assert(got.map(a => (a.u, a.v)).toSeq == pairs.toSeq, ctx)
+        assert(got.map(_.before).toSeq == before.toSeq, ctx)
+        assert(got.forall(a => a.after == g.expiryOf(a.u, a.v)), ctx)
+        assert(tdn.aliveCount == alive + range.length, ctx) // the range and only the range
+        tdn.advance()
+      }
+    }
+  }
+
   test("oracle calls grow with candidates, not with universe size") {
     val cBig   = new OracleCounter
     val sBig   = new SieveAdn(2, 0.1, 10000, cBig)
