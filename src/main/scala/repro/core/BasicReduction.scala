@@ -34,8 +34,8 @@ final class BasicReduction(
 
   override def name: String = "BasicReduction"
 
-  /** The run holding instance A_i (1-based), exposed for invariant tests. */
-  def instance(i: Int): SieveAdn = {
+  /** The run holding instance A_i (1-based), for invariant tests. */
+  private[core] def instance(i: Int): SieveAdn = {
     require(i >= 1 && i <= maxLifetime, s"instance index $i outside 1..$maxLifetime")
     insts(indexOf(tdn.now + i))
   }

@@ -13,8 +13,7 @@ package repro.core
   * Expiries let one graph serve many views: a BFS with cutoff `from` skips
   * edges whose expiry is below it. The TDN's single live graph is shared this
   * way by every SieveADN instance of a tracker, each viewing the alive edges
-  * with expiry ≥ its own cutoff (see [[SieveAdn]]). Edges added without an
-  * expiry never expire.
+  * with expiry ≥ its own cutoff (see [[SieveAdn]]).
   *
   * Both forward and reverse adjacency are kept: forward BFS computes influence
   * spread; reverse BFS computes the candidate set V̄_t (nodes whose spread can
@@ -64,10 +63,6 @@ final class Digraph(val universe: Int) {
     if (bits == 0L) -1 else w << 6 | 63 - java.lang.Long.numberOfLeadingZeros(bits)
   }
 
-  /** Throws IllegalArgumentException unless u and v are in the universe. */
-  def checkEdge(u: Int, v: Int): Unit =
-    require(u >= 0 && u < universe && v >= 0 && v < universe, s"edge ($u,$v) outside universe $universe")
-
   /** Expiry of edge u→v, or `Int.MinValue` if there is no such edge. */
   def expiryOf(u: Int, v: Int): Int = {
     val a = fwd(u)
@@ -76,12 +71,13 @@ final class Digraph(val universe: Int) {
   }
 
   /** Insert edge u→v expiring at `expiry`, or raise an existing edge's expiry
-    * to it; self-loops are ignored.
+    * to it; self-loops are ignored. Throws IllegalArgumentException unless u
+    * and v are in the universe.
     *
     * @return true iff the edge was new (changed the reachability structure)
     */
-  def addEdge(u: Int, v: Int, expiry: Int = Int.MaxValue): Boolean = {
-    checkEdge(u, v)
+  def addEdge(u: Int, v: Int, expiry: Int): Boolean = {
+    require(u >= 0 && u < universe && v >= 0 && v < universe, s"edge ($u,$v) outside universe $universe")
     if (u == v) return false
     if (fwd(u) == null) fwd(u) = new Adj
     if (rev(v) == null) rev(v) = new Adj

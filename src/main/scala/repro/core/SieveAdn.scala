@@ -7,14 +7,16 @@ import repro.tdn.{Tdn, TimedEdge}
   * dynamic interaction network, with a (1/2 − ε) approximation guarantee.
   *
   * An instance is a graph, a cutoff, Δ and its sieves. It views the edges of
-  * `graph` whose expiry is ≥ `cutoff`. A stand-alone instance owns its graph
-  * and has cutoff −∞: the ADN view, where edges only arrive. Inside
-  * BasicReduction and HistApprox every instance shares the tracker's TDN graph
-  * as the cutoff t + l of its index l (see [[InstanceListTracker]]); those
-  * trackers terminate whole instances instead of deleting edges.
+  * `graph` whose expiry is ≥ `cutoff`. In BasicReduction and HistApprox every
+  * instance shares the tracker's TDN graph as the cutoff t + l of its index l
+  * (see [[InstanceListTracker]]); those trackers terminate whole instances
+  * instead of deleting edges. An addition-only network (Example 3) is a TDN
+  * whose lifetimes outlast the horizon, so SieveADN over it is one such
+  * instance.
   *
   * Mechanics per batch Ē_t of edges new to the instance's view:
-  *  1. the edges are in the graph (the stand-alone [[process]] inserts them);
+  *  1. the edges are in the graph ([[SieveAdn.addTo]] adds a batch, and
+  *     [[feed]] passes on the edges this instance now sees);
   *  2. compute the candidate set V̄_t = nodes whose influence spread changed:
   *     for the inserted edges (u,v), every v plus every node that can reach
   *     some u, found by one reverse search from all the u's;
@@ -54,16 +56,8 @@ final class SieveAdn private[core] (
   require(k >= 1, "k must be >= 1")
   require(eps > 0 && eps < 1, "eps must be in (0,1)")
 
-  /** An instance with its own size table. */
-  private[core] def this(k: Int, eps: Double, counter: OracleCounter, graph: Digraph, cutoff: Int) =
-    this(k, eps, counter, graph, cutoff, new SieveAdn.SizeTable(k, eps))
-
-  def this(k: Int, eps: Double, universe: Int, counter: OracleCounter) =
-    this(k, eps, counter, new Digraph(universe), Int.MinValue)
-
   import SieveAdn.Sieve
 
-  val universe: Int        = graph.universe
   private var deltaMax: Int = 0 // Δ: max singleton spread seen
   private var slidAt: Int   = 0 // Δ at the last slide of the window
   // Runs ascending: runs(j) is S_θi for every exponent i from runs(j).first
@@ -114,17 +108,6 @@ final class SieveAdn private[core] (
     val all = graph.reverseReachOf(us, cutoff, vs)
     java.util.Arrays.sort(all)
     all
-  }
-
-  /** Process one batch of arriving edges into a stand-alone instance's own
-    * graph (the ADN view: additions only). A batch with an edge outside the
-    * universe changes nothing.
-    */
-  def process(batch: Seq[(Int, Int)]): Unit = {
-    require(cutoff == Int.MinValue, "only a stand-alone instance adds edges to its graph")
-    batch.foreach { case (u, v) => graph.checkEdge(u, v) }
-    val inserted = batch.filter { case (u, v) => graph.addEdge(u, v) }
-    update(inserted.map(_._1).toArray, inserted.map(_._2).toArray)
   }
 
   /** Feed the edges of a batch just added to the shared graph that this
@@ -273,7 +256,7 @@ final class SieveAdn private[core] (
     if (runs.isEmpty) Nil else runs.maxBy(_.value).seeds
 
   /** Number of live threshold sets |Θ| (for complexity tests). */
-  def thresholdCount: Int = if (runs.isEmpty) 0 else top - runs(0).first + 1
+  private[core] def thresholdCount: Int = if (runs.isEmpty) 0 else top - runs(0).first + 1
 
   /** Number of runs holding the |Θ| sieves. */
   private[core] def runCount: Int = runs.length
@@ -364,8 +347,7 @@ object SieveAdn {
   /** floorExp(2k·n) for n = 0, 1, …: the window's top exponent when Δ = n,
     * and the highest exponent whose ⌈θ⌉ a candidate reaching n nodes can
     * meet. [[cover]] grows it to n = Δ as Δ rises, so it holds at most Δ + 1
-    * entries for the largest Δ of the instances sharing it: one tracker's,
-    * or one stand-alone instance and its copies.
+    * entries for the largest Δ of the instances sharing it: one tracker's.
     */
   private[core] final class SizeTable(k: Int, eps: Double) {
     private val logBase = math.log1p(eps)

@@ -20,10 +20,17 @@ object StreamDriver {
   private[stream] def collectRows(df: DataFrame): Array[Row] =
     df.select("ts", "src", "dst", "lifetime").collect()
 
-  /** Each (ts, src, dst, lifetime) row as (ts, edge); a row with a null, ts < 0 or lifetime < 1 is rejected. */
-  private[stream] def parseRows(rows: Array[Row]): Array[(Int, TimedEdge)] = rows.map { r =>
-    if (r.isNullAt(0) || r.isNullAt(1) || r.isNullAt(2) || r.isNullAt(3) || r.getInt(0) < 0 || r.getInt(3) < 1)
-      throw new IllegalArgumentException(s"malformed interaction row $r: need no nulls, ts >= 0, lifetime >= 1")
+  /** Each (ts, src, dst, lifetime) row as (ts, edge). A row is rejected,
+    * naming it, unless it has no nulls, ts ≥ 0, src and dst in [0, universe)
+    * and an expiry ts + lifetime that fits in an Int, with lifetime ≥ 1: the
+    * TDN's checks at step ts, made before any step closes.
+    */
+  private[stream] def parseRows(rows: Array[Row], universe: Int): Array[(Int, TimedEdge)] = rows.map { r =>
+    def inUniverse(i: Int) = r.getInt(i) >= 0 && r.getInt(i) < universe
+    if ((0 to 3).exists(r.isNullAt) || r.getInt(0) < 0 || !inUniverse(1) || !inUniverse(2) || r.getInt(3) < 1 ||
+        r.getInt(3) > Int.MaxValue - r.getInt(0))
+      throw new IllegalArgumentException(
+        s"malformed interaction row $r: need no nulls, ts >= 0, src and dst in [0, $universe), 1 <= lifetime <= Int.MaxValue - ts")
     (r.getInt(0), TimedEdge(r.getInt(1), r.getInt(2), r.getInt(3)))
   }
 
@@ -32,7 +39,7 @@ object StreamDriver {
     * rows at or beyond `maxSteps` are dropped, malformed rows rejected.
     */
   def batchesFromDf(df: DataFrame, universe: Int, maxSteps: Int): Batches = {
-    val byTs  = parseRows(collectRows(df)).filter(_._1 < maxSteps).groupBy(_._1)
+    val byTs  = parseRows(collectRows(df), universe).filter(_._1 < maxSteps).groupBy(_._1)
     val steps = (0 until maxSteps).map(t => byTs.get(t).map(_.map(_._2).toSeq).getOrElse(Nil))
     Batches(universe, steps)
   }

@@ -28,7 +28,7 @@ final class StructuredTdnRunner(algo: StreamingInfluenceAlgo, universe: Int) {
 
   /** Row-level entry point (shared by tests that bypass a streaming query). */
   def processRows(rows: Array[Row]): Unit = {
-    val parsed = StreamDriver.parseRows(rows)
+    val parsed = StreamDriver.parseRows(rows, universe)
     parsed.find(_._1 < currentStep).foreach { case (ts, e) =>
       throw new IllegalArgumentException(
         s"late interaction at ts=$ts (< logical clock $currentStep): $e — closed TDN steps are immutable")

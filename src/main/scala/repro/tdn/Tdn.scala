@@ -129,14 +129,14 @@ final class Tdn {
   /** Alive edges at the current time, with remaining lifetime (≥ 1), by
     * ascending remaining lifetime.
     */
-  def aliveEdges: Seq[TimedEdge] =
+  private[repro] def aliveEdges: Seq[TimedEdge] =
     (head until end).map(i => TimedEdge(srcOf(pairs(i)), dstOf(pairs(i)), exps(i) - clock))
 
   /** Number of alive edges (with multiplicity). */
   def aliveCount: Int = end - head
 
   /** Largest remaining lifetime among alive edges, 0 if empty. */
-  def maxRemainingLifetime: Int = if (end == head) 0 else exps(end - 1) - clock
+  private[repro] def maxRemainingLifetime: Int = if (end == head) 0 else exps(end - 1) - clock
 
   /** Multiplicity of alive interactions per (u, v) — the `x` that feeds the
     * IC-model diffusion probability p_uv = 2/(1+e^{−0.2x}) − 1 (§V-C).

@@ -21,7 +21,7 @@ object TestData {
 
   def digraphOf(universe: Int, edges: Iterable[(Int, Int)]): Digraph = {
     val g = new Digraph(universe)
-    edges.foreach { case (u, v) => g.addEdge(u, v) }
+    edges.foreach { case (u, v) => g.addEdge(u, v, Int.MaxValue) }
     g
   }
 

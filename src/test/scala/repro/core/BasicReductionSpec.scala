@@ -20,8 +20,10 @@ class BasicReductionSpec extends AnyFunSuite {
   /** The edges instance `a` has processed: those of the shared graph with
     * expiry at or above its cutoff.
     */
-  private def visible(a: SieveAdn): Set[(Int, Int)] =
-    (for { u <- 0 until a.universe; v <- 0 until a.universe if a.graph.expiryOf(u, v) >= a.cutoff } yield (u, v)).toSet
+  private def visible(a: SieveAdn): Set[(Int, Int)] = {
+    val n = a.graph.universe
+    (for { u <- 0 until n; v <- 0 until n if a.graph.expiryOf(u, v) >= a.cutoff } yield (u, v)).toSet
+  }
 
   test("constructor validates k, eps and L") {
     intercept[IllegalArgumentException](new BasicReduction(2, 0.1, 0, 10))
@@ -62,8 +64,9 @@ class BasicReductionSpec extends AnyFunSuite {
   }
 
   test("an edge whose expiry rises from b to a reaches exactly the instances with cutoff in (b, a]") {
-    val one = new OracleCounter // what feeding one empty instance the edge costs
-    new SieveAdn(2, 0.1, 10, one).process(Seq((0, 1)))
+    val adn = new TdnFeed(10)
+    val one = adn.sieve(2, 0.1) // what feeding one empty instance the edge costs
+    adn.add(Seq((0, 1)), TdnFeed.Forever, one)
     val algo = new BasicReduction(2, 0.1, maxLifetime = 8, universe = 10)
     algo.observe(Seq(TimedEdge(0, 1, 3))) // t = 0: expiry b = 3
     algo.endStep()                        // t = 1: A_i has cutoff 1 + i
@@ -71,7 +74,7 @@ class BasicReductionSpec extends AnyFunSuite {
     val calls = algo.oracleCalls
     algo.observe(Seq(TimedEdge(0, 1, 6))) // expiry a = 7: cutoffs 4..7 are A_3..A_6
     assert((1 to 8).map(algo.instance(_).delta) == Seq(2, 2, 2, 2, 2, 2, 0, 0))
-    assert(algo.oracleCalls - calls == 4 * one.calls)
+    assert(algo.oracleCalls - calls == 4 * one.counter.calls)
   }
 
   test("a repeated pair whose expiry does not rise splits no run and costs no call") {
@@ -109,8 +112,9 @@ class BasicReductionSpec extends AnyFunSuite {
     stream.zipWithIndex.foreach { case (batch, t) =>
       algo.observe(batch)
       // Reference: fresh SieveADN fed the alive window batch-by-batch.
-      val ref = new SieveAdn(2, 0.15, 12, new OracleCounter)
-      stream.slice(math.max(0, t - w + 1), t + 1).foreach(b => ref.process(b.map(e => (e.u, e.v))))
+      val adn = new TdnFeed(12)
+      val ref = adn.sieve(2, 0.15)
+      stream.slice(math.max(0, t - w + 1), t + 1).foreach(b => adn.add(b.map(e => (e.u, e.v)), TdnFeed.Forever, ref))
       assert(algo.currentValue == ref.currentValue, s"t=$t")
       algo.endStep()
     }

@@ -16,8 +16,8 @@ class DigraphSpec extends AnyFunSuite {
 
   test("addEdge inserts a directed edge and registers both endpoints") {
     val g = new Digraph(10)
-    assert(g.addEdge(1, 2))
-    assert(g.expiryOf(1, 2) == Int.MaxValue)
+    assert(g.addEdge(1, 2, 5))
+    assert(g.expiryOf(1, 2) == 5)
     assert(g.expiryOf(2, 1) == Int.MinValue)
     assert(g.nodeArray.toSeq == Seq(1, 2))
     assert(g.nodeCount == 2)
@@ -25,28 +25,28 @@ class DigraphSpec extends AnyFunSuite {
 
   test("self-loops are rejected") {
     val g = new Digraph(10)
-    assert(!g.addEdge(3, 3))
+    assert(!g.addEdge(3, 3, Int.MaxValue))
     assert(g.edgeCount == 0)
     assert(g.nodeArray.isEmpty)
   }
 
   test("duplicate edges are deduplicated") {
     val g = new Digraph(10)
-    assert(g.addEdge(1, 2))
-    assert(!g.addEdge(1, 2))
+    assert(g.addEdge(1, 2, Int.MaxValue))
+    assert(!g.addEdge(1, 2, Int.MaxValue))
     assert(g.edgeCount == 1)
     assert(g.reachOf(1).toSeq == Seq(1, 2))
   }
 
   test("out of universe edge is rejected with an error") {
     val g = new Digraph(4)
-    intercept[IllegalArgumentException](g.addEdge(1, 4))
-    intercept[IllegalArgumentException](g.addEdge(-1, 2))
+    intercept[IllegalArgumentException](g.addEdge(1, 4, Int.MaxValue))
+    intercept[IllegalArgumentException](g.addEdge(-1, 2, Int.MaxValue))
   }
 
   test("outNeighbors and inNeighbors reflect direction") {
     val g = new Digraph(10)
-    g.addEdge(0, 1); g.addEdge(0, 2); g.addEdge(3, 0)
+    g.addEdge(0, 1, Int.MaxValue); g.addEdge(0, 2, Int.MaxValue); g.addEdge(3, 0, Int.MaxValue)
     assert(g.reachOf(0).toSet == Set(0, 1, 2))
     assert(g.reverseReachOf(Array(0), Int.MinValue).toSet == Set(0, 3))
     assert(g.reachOf(1).toSeq == Seq(1))
@@ -54,7 +54,7 @@ class DigraphSpec extends AnyFunSuite {
 
   test("nodeArray lists present nodes ascending") {
     val g = new Digraph(10)
-    g.addEdge(7, 2); g.addEdge(5, 7)
+    g.addEdge(7, 2, Int.MaxValue); g.addEdge(5, 7, Int.MaxValue)
     assert(g.nodeArray.toSeq == Seq(2, 5, 7))
   }
 

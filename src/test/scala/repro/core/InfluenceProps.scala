@@ -53,7 +53,7 @@ object InfluenceProps extends Properties("InfluenceSpread") {
   property("adding an edge never decreases f (ADN property)") =
     Prop.forAll(graphGen, setGen, Gen.choose(0, n - 1), Gen.choose(0, n - 1)) { (g, s, u, v) =>
       val before = g.spreadOf(s.toSeq)
-      g.addEdge(u, v)
+      g.addEdge(u, v, Int.MaxValue)
       g.spreadOf(s.toSeq) >= before
     }
 }

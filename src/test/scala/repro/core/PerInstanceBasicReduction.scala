@@ -18,12 +18,13 @@ final class PerInstanceBasicReduction(
   require(maxLifetime >= 1, "L must be >= 1")
 
   private val counter = new OracleCounter
+  private val sizes   = new SieveAdn.SizeTable(k, eps)
   private val tdn     = new Tdn
   private val graph   = tdn.toDigraph(universe)
   // Head (index 0) is A_1.
   private val instances = mutable.ArrayDeque.tabulate(maxLifetime)(i => newInstance(i + 1))
 
-  private def newInstance(cutoff: Int): SieveAdn = new SieveAdn(k, eps, counter, graph, cutoff)
+  private def newInstance(cutoff: Int): SieveAdn = new SieveAdn(k, eps, counter, graph, cutoff, sizes)
 
   override def name: String = "PerInstanceBasicReduction"
 

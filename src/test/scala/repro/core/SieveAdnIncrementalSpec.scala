@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
+import TdnFeed.Forever
 
 /** Regression guard for SieveADN's incremental cache maintenance: the cached
   * f(S_θ)/reach(S_θ) must equal a from-scratch recomputation on the instance
@@ -22,10 +23,11 @@ class SieveAdnIncrementalSpec extends AnyFunSuite {
 
   test("cached best value equals recomputed spread after every batch (random streams)") {
     for (seed <- 0 until 10) {
-      val s     = new SieveAdn(3, 0.15, 20, new OracleCounter)
+      val f     = new TdnFeed(20)
+      val s     = f.sieve(3, 0.15)
       val edges = TestData.randomEdges(20, 60, 500L + seed)
       edges.grouped(3).foreach { b =>
-        s.process(b)
+        f.add(b, Forever, s)
         checkCacheExact(s)
       }
     }
@@ -34,27 +36,30 @@ class SieveAdnIncrementalSpec extends AnyFunSuite {
   test("cached value stays exact under single-edge insertion chains") {
     // Chains exercise the 'first inserted edge' argument: 0->1, then 1->2,
     // then 2->3 ... each insertion extends the reach of all upstream sets.
-    val s = new SieveAdn(1, 0.1, 12, new OracleCounter)
+    val f = new TdnFeed(12)
+    val s = f.sieve(1, 0.1)
     (0 until 11).foreach { i =>
-      s.process(Seq((i, i + 1)))
+      f.add(Seq((i, i + 1)), Forever, s)
       checkCacheExact(s)
     }
     assert(s.currentValue == 12) // node 0 reaches the whole chain
   }
 
   test("cached value stays exact when a batch contains chained new edges") {
-    val s = new SieveAdn(1, 0.1, 10, new OracleCounter)
-    s.process(Seq((0, 1)))
+    val f = new TdnFeed(10)
+    val s = f.sieve(1, 0.1)
+    f.add(Seq((0, 1)), Forever, s)
     // Batch whose edges chain together: 1->2 and 2->3 arrive at once.
-    s.process(Seq((1, 2), (2, 3)))
+    f.add(Seq((1, 2), (2, 3)), Forever, s)
     checkCacheExact(s)
     assert(s.currentValue == 4)
   }
 
   test("cached value stays exact when a batch closes a cycle") {
-    val s = new SieveAdn(2, 0.1, 10, new OracleCounter)
-    s.process(Seq((0, 1), (1, 2)))
-    s.process(Seq((2, 0), (3, 0)))
+    val f = new TdnFeed(10)
+    val s = f.sieve(2, 0.1)
+    f.add(Seq((0, 1), (1, 2)), Forever, s)
+    f.add(Seq((2, 0), (3, 0)), Forever, s)
     checkCacheExact(s)
     assert(s.graph.spreadOf(Seq(3)) == 4)
   }
@@ -62,13 +67,14 @@ class SieveAdnIncrementalSpec extends AnyFunSuite {
   test("copyInstance carries exact caches forward") {
     for (seed <- 0 until 5) {
       // Nodes 12..14 stay outside the original's view.
-      val s = new SieveAdn(2, 0.2, new OracleCounter, new Digraph(15), cutoff = 10)
-      SieveAdnSpec.addAndUpdate(s, TestData.randomEdges(12, 30, 600L + seed), expiry = 10)
+      val f = new TdnFeed(15)
+      val s = f.sieve(2, 0.2, cutoff = 10)
+      f.add(TestData.randomEdges(12, 30, 600L + seed), 10, s)
       val (value, sol) = (s.currentValue, s.solution)
       // The copy at cutoff 5 is fed edges with expiry 7, visible to it only;
       // one of them extends the reach of the original's best set.
       val c = s.copyInstance(5)
-      SieveAdnSpec.addAndUpdate(c, TestData.randomEdges(15, 10, 700L + seed) :+ ((sol.head, 14)), expiry = 7)
+      f.add(TestData.randomEdges(15, 10, 700L + seed) :+ ((sol.head, 14)), 7, s, c)
       checkCacheExact(c)
       assert(c.currentValue > value)
       checkCacheExact(s)
@@ -81,9 +87,10 @@ class SieveAdnIncrementalSpec extends AnyFunSuite {
     // to the unpruned semantics; since pruned evaluations are guaranteed
     // rejections, equality of values across a randomized stream is the check.
     for (seed <- 0 until 8) {
-      val s     = new SieveAdn(3, 0.2, 16, new OracleCounter)
+      val f     = new TdnFeed(16)
+      val s     = f.sieve(3, 0.2)
       val edges = TestData.randomEdges(16, 50, 800L + seed)
-      edges.grouped(4).foreach(s.process)
+      edges.grouped(4).foreach(b => f.add(b, Forever, s))
       // Reference: straightforward greedy-free reference is BruteForce bound.
       val (_, opt) = BruteForce.select(TestData.digraphOf(16, edges), 3)
       assert(s.currentValue >= (0.5 - 0.2) * opt - 1e-9, s"seed=$seed")

@@ -28,17 +28,18 @@ class SieveAdnRunsSpec extends AnyFunSuite {
     assert(s.runCount <= s.thresholdCount, s"$at: ${s.runCount} runs")
   }
 
-  test("stand-alone instances agree with the per-sieve reference after every batch") {
+  test("ADN instances agree with the stand-alone per-sieve reference after every batch") {
     var split = 0
     for (seed <- 1 to 80) {
       val rnd                = new Random(seed)
       val (universe, k, eps) = draw(rnd)
       val (sc, rc)           = (new OracleCounter, new OracleCounter)
-      val s                  = new SieveAdn(k, eps, universe, sc)
+      val adn                = new TdnFeed(universe)
+      val s                  = adn.sieve(k, eps, counter = sc)
       val r                  = new PerSieveAdn(k, eps, rc, new Digraph(universe), Int.MinValue)
       for (step <- 0 until 40) {
         val b = batch(rnd, universe)
-        s.process(b)
+        adn.add(b, TdnFeed.Forever, s)
         r.process(b)
         same(s, r, (sc.calls, rc.calls), s"seed $seed (|V| $universe, k $k, ε $eps) step $step")
         if (s.runCount > 1) split += 1
@@ -54,7 +55,8 @@ class SieveAdnRunsSpec extends AnyFunSuite {
       val g                  = new Digraph(universe)
       val (sc, rc)           = (new OracleCounter, new OracleCounter)
       // Each pair shares one graph; a copy at cutoff 5 also sees expiry 7.
-      val pairs  = mutable.ArrayBuffer((new SieveAdn(k, eps, sc, g, 10), new PerSieveAdn(k, eps, rc, g, 10)))
+      val pairs = mutable.ArrayBuffer(
+        (new SieveAdn(k, eps, sc, g, 10, new SieveAdn.SizeTable(k, eps)), new PerSieveAdn(k, eps, rc, g, 10)))
       val expiry = mutable.Map.empty[(Int, Int), Int]
       val copyAt = 5 + rnd.nextInt(25)
 
@@ -102,7 +104,8 @@ class SieveAdnRunsSpec extends AnyFunSuite {
       val (universe, k, eps) = draw(rnd)
       val g                  = new Digraph(universe)
       val counter            = new OracleCounter
-      val insts              = mutable.ArrayBuffer(new SieveAdn(k, eps, counter, g, 30)) // ascending by cutoff
+      // Ascending by cutoff.
+      val insts              = mutable.ArrayBuffer(new SieveAdn(k, eps, counter, g, 30, new SieveAdn.SizeTable(k, eps)))
       val expiry             = mutable.Map.empty[(Int, Int), Int]
 
       def update(s: SieveAdn, edges: Seq[(Int, Int)], at: String): Unit = {

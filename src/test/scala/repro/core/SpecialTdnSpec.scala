@@ -15,10 +15,11 @@ class SpecialTdnSpec extends AnyFunSuite {
     val stream   = TestData.randomTimedStream(15, steps = 20, perStep = 2, maxL = 1, seed = 3L)
       .map(_.map(_.copy(lifetime = horizon)))
     val hist  = new HistApprox(2, 0.15, horizon, 15)
-    val sieve = new SieveAdn(2, 0.15, 15, new OracleCounter)
+    val adn   = new TdnFeed(15)
+    val sieve = adn.sieve(2, 0.15)
     stream.foreach { batch =>
       hist.observe(batch)
-      sieve.process(batch.map(e => (e.u, e.v)))
+      adn.add(batch.map(e => (e.u, e.v)), TdnFeed.Forever, sieve)
       assert(hist.currentValue == sieve.currentValue)
       hist.endStep()
     }

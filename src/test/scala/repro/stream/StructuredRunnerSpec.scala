@@ -47,7 +47,10 @@ class StructuredRunnerSpec extends SparkSpec {
   test("malformed rows are rejected, naming the row, before any step closes") {
     import org.apache.spark.sql.Row
     val runner = new StructuredTdnRunner(new HistApprox(1, 0.2, 40, 10), 10)
-    Seq(Row(0, 1, null, 3), Row(-1, 1, 2, 3), Row(0, 1, 2, 0)).foreach { bad =>
+    // Each bad row follows a good row at ts 0, whose step a bad row at ts 1
+    // must not close: an id outside universe 10, or an expiry past Int.MaxValue.
+    Seq(Row(0, 1, null, 3), Row(-1, 1, 2, 3), Row(0, 1, 2, 0), Row(1, 1, 10, 3), Row(1, -1, 2, 3),
+      Row(1, 1, 2, Int.MaxValue)).foreach { bad =>
       val e = intercept[IllegalArgumentException](runner.processRows(Array(Row(0, 1, 2, 3), bad)))
       assert(e.getMessage.contains(bad.toString), e.getMessage)
     }
