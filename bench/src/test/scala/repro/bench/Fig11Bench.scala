@@ -8,10 +8,10 @@ import repro.experiments.Experiments
   *
   * Paper shapes asserted: solution quality stays ≳ 0.9 of Greedy across the
   * whole sweep and HistApprox stays cheaper than Greedy. Known deviation
-  * (recorded in EXPERIMENTS.md): at 1/100 scale the call ratio *rises* with k
-  * instead of falling — k here is 2–25% of |V_t| (vs < 0.5% in the paper), so
-  * lazy Greedy's k-independent initial scan dominates its cost while the
-  * sieve's threshold count grows with log k.
+  * (recorded in EXPERIMENTS.md): the call ratio *rises* with k instead of
+  * falling. The data scale does not explain it: at one interaction per step
+  * the alive graph holds about 1/p interactions at any scale, so the
+  * paper's p = 0.001 also gives |V_t| ≤ 2,000. The cause is open.
   */
 class Fig11Bench extends SparkSpec {
 

@@ -10,9 +10,11 @@ import repro.experiments.Experiments
   * Paper shapes asserted: HistApprox, IMM, TIM+ all find high-quality
   * solutions; DIM is less stable; the static-index methods (IMM/TIM+) have
   * the lowest throughput, below DIM, below HistApprox. Known deviation
-  * (EXPERIMENTS.md): lazy Greedy's raw throughput is above HistApprox's at
-  * 1/100 scale, because on a G_t two orders smaller than the paper's each
-  * oracle call reaches few nodes and costs little.
+  * (EXPERIMENTS.md): lazy Greedy's raw throughput is above HistApprox's.
+  * Each CELF call reaches few nodes and costs little, while HistApprox's
+  * time also pays for candidate searches, back-fill and sieve upkeep. The
+  * paper's alive graph is not larger (about 1/p interactions at one per
+  * step), so why its order differs is open.
   */
 class Fig13to14Bench extends SparkSpec {
 

@@ -55,7 +55,7 @@ final class BasicReduction(
     // holding only cutoffs that see the arrival or only cutoffs that do not.
     // The cutoffs up to after take a copy, which by the invariant misses no
     // edge.
-    val arrivals = SieveAdn.addTo(tdn, graph, edges, 0, edges.length)
+    val arrivals = tdn.add(edges, 0, edges.length)
     var a        = 0
     while (a < arrivals.length) {
       val e = arrivals(a)

@@ -74,20 +74,22 @@ final class Digraph(val universe: Int) {
     * to it; self-loops are ignored. Throws IllegalArgumentException unless u
     * and v are in the universe.
     *
-    * @return true iff the edge was new (changed the reachability structure)
+    * @return the edge's expiry before the call, as [[expiryOf]] gives it:
+    *         `Int.MinValue` for a new edge or a self-loop
     */
-  def addEdge(u: Int, v: Int, expiry: Int): Boolean = {
+  def addEdge(u: Int, v: Int, expiry: Int): Int = {
     require(u >= 0 && u < universe && v >= 0 && v < universe, s"edge ($u,$v) outside universe $universe")
-    if (u == v) return false
+    if (u == v) return Int.MinValue
     if (fwd(u) == null) fwd(u) = new Adj
     if (rev(v) == null) rev(v) = new Adj
     val i = fwd(u).indexOf(v)
     if (i >= 0) {
-      if (expiry > fwd(u).exp(i)) {
+      val old = fwd(u).exp(i)
+      if (expiry > old) {
         fwd(u).exp(i) = expiry
         rev(v).exp(rev(v).indexOf(u)) = expiry
       }
-      false
+      old
     } else {
       fwd(u).add(v, expiry)
       rev(v).add(u, expiry)
@@ -95,7 +97,7 @@ final class Digraph(val universe: Int) {
       Digraph.add(present, v)
       Digraph.add(sources, u)
       edges += 1
-      true
+      Int.MinValue
     }
   }
 

@@ -38,7 +38,7 @@ final class HistApprox(
       val l     = edges(from).lifetime
       var until = from + 1
       while (until < edges.length && edges(until).lifetime == l) until += 1
-      feed(SieveAdn.addTo(tdn, graph, edges, from, until)) // Alg. 3 line 17: the instances with index ≤ l
+      feed(tdn.add(edges, from, until)) // Alg. 3 line 17: the instances with index ≤ l
       reduceRedundancy(processEdges(tdn.now + l))
       from = until
     }

@@ -1,22 +1,23 @@
 package repro.core
 
 import scala.collection.mutable
-import repro.tdn.{Tdn, TimedEdge}
+import repro.tdn.Tdn
 
 /** SieveADN (Alg. 1): streaming influence maximization over an addition-only
   * dynamic interaction network, with a (1/2 − ε) approximation guarantee.
   *
-  * An instance is a graph, a cutoff, Δ and its sieves. It views the edges of
-  * `graph` whose expiry is ≥ `cutoff`. In BasicReduction and HistApprox every
-  * instance shares the tracker's TDN graph as the cutoff t + l of its index l
-  * (see [[InstanceListTracker]]); those trackers terminate whole instances
-  * instead of deleting edges. An addition-only network (Example 3) is a TDN
-  * whose lifetimes outlast the horizon, so SieveADN over it is one such
-  * instance.
+  * An instance is a graph, a cutoff, Δ and its sieves; k, ε and the
+  * threshold ladder are its tracker's [[SieveAdn.SizeTable]]'s. It views the
+  * edges of `graph` whose expiry is ≥ `cutoff`. In BasicReduction and
+  * HistApprox every instance shares the tracker's TDN graph as the cutoff
+  * t + l of its index l (see [[InstanceListTracker]]); those trackers
+  * terminate whole instances instead of deleting edges. An addition-only
+  * network (Example 3) is a TDN whose lifetimes outlast the horizon, so
+  * SieveADN over it is one such instance.
   *
   * Mechanics per batch Ē_t of edges new to the instance's view:
-  *  1. the edges are in the graph ([[SieveAdn.addTo]] adds a batch, and
-  *     [[feed]] passes on the edges this instance now sees);
+  *  1. the edges are in the graph (the TDN adds a batch and reports its
+  *     arrivals, and [[feed]] passes on the edges this instance now sees);
   *  2. compute the candidate set V̄_t = nodes whose influence spread changed:
   *     for the inserted edges (u,v), every v plus every node that can reach
   *     some u, found by one reverse search from all the u's;
@@ -46,16 +47,11 @@ import repro.tdn.{Tdn, TimedEdge}
   * by [[OracleCounter]]'s rule.
   */
 final class SieveAdn private[core] (
-    val k: Int,
-    val eps: Double,
     val counter: OracleCounter,
     val graph: Digraph,
     val cutoff: Int,
     sizes: SieveAdn.SizeTable,
 ) {
-  require(k >= 1, "k must be >= 1")
-  require(eps > 0 && eps < 1, "eps must be in (0,1)")
-
   import SieveAdn.Sieve
 
   private var deltaMax: Int = 0 // Δ: max singleton spread seen
@@ -65,9 +61,6 @@ final class SieveAdn private[core] (
   private val runs = mutable.ArrayBuffer.empty[Sieve]
   private var top  = 0 // the window's highest exponent
   private var best = 0 // currentValue, or −1 until it is next read
-
-  /** ⌈θ_i⌉ for θ_i = (1+ε)^i / (2k): the least gain sieve i accepts. */
-  private def need(i: Int): Int = math.ceil(math.pow(1.0 + eps, i) / (2.0 * k)).toInt
 
   /** The highest exponent of run j. */
   private def last(j: Int): Int = if (j + 1 < runs.length) runs(j + 1).first - 1 else top
@@ -90,10 +83,10 @@ final class SieveAdn private[core] (
     var d  = 0
     while (d < runs.length && last(d) < lo) d += 1
     runs.remove(0, d)
-    if (runs.isEmpty) runs += new Sieve(k, lo)
+    if (runs.isEmpty) runs += new Sieve(sizes.k, lo)
     else {
       runs(0).first = lo
-      if (hi > top && runs.last.size > 0) runs += new Sieve(k, top + 1)
+      if (hi > top && runs.last.size > 0) runs += new Sieve(sizes.k, top + 1)
     }
     top = hi
   }
@@ -113,7 +106,7 @@ final class SieveAdn private[core] (
   /** Feed the edges of a batch just added to the shared graph that this
     * instance has not seen and now sees.
     */
-  private[core] def feed(arrivals: Array[SieveAdn.Arrival]): Unit = {
+  private[core] def feed(arrivals: Array[Tdn.Arrival]): Unit = {
     var n = 0
     var i = 0
     while (i < arrivals.length) { if (sees(arrivals(i))) n += 1; i += 1 }
@@ -131,7 +124,7 @@ final class SieveAdn private[core] (
     }
   }
 
-  private def sees(a: SieveAdn.Arrival): Boolean = a.before < cutoff && cutoff <= a.after
+  private def sees(a: Tdn.Arrival): Boolean = a.before < cutoff && cutoff <= a.after
 
   /** Steps 2–5 for the inserted edges (us(e), vs(e)): edges without
     * self-loops that are in the graph with expiry ≥ `cutoff` and were not
@@ -200,14 +193,14 @@ final class SieveAdn private[core] (
         val s = runs(j)
         val a = s.first
         val b = math.min(last(j), hv)
-        if (s.size < k && !s.contains(v)) {
+        if (s.size < sizes.k && !s.contains(v)) {
           counter.add(b - a + 1)
-          val least = need(a)
-          val g     = s.gain(v, rv, need(b), least)
+          val least = sizes.need(a)
+          val g     = s.gain(v, rv, sizes.need(b), least)
           if (g >= least) {
             // Acceptance is monotone in θ: [a, m] takes v, the rest keeps S.
             var m = b
-            while (need(m) > g) m -= 1
+            while (sizes.need(m) > g) m -= 1
             if (m < last(j)) {
               val rest = s.copySieve()
               rest.first = m + 1
@@ -275,7 +268,7 @@ final class SieveAdn private[core] (
     */
   private[core] def copyInstance(cutoff: Int): SieveAdn = {
     require(cutoff < this.cutoff, s"copy cutoff $cutoff must be below ${this.cutoff}")
-    val c = new SieveAdn(k, eps, counter, graph, cutoff, sizes)
+    val c = new SieveAdn(counter, graph, cutoff, sizes)
     c.deltaMax = deltaMax
     c.slidAt = slidAt
     var j = 0
@@ -288,70 +281,23 @@ final class SieveAdn private[core] (
 
 object SieveAdn {
 
-  /** A distinct non-loop edge of a batch just added to a shared graph, with
-    * its graph expiry before and after the addition: an instance with cutoff
-    * f had not seen it and now does iff before < f ≤ after.
+  /** The threshold ladder θ_i = (1+ε)^i / (2k) that a tracker's instances
+    * share: k ≥ 1 and ε ∈ (0, 1), checked here, ⌈θ_i⌉ ([[need]]) and its
+    * inverses. The table proper is floorExp(2k·n) for n = 0, 1, …: the
+    * window's top exponent when Δ = n, and the highest exponent whose ⌈θ⌉ a
+    * candidate reaching n nodes can meet. [[cover]] grows it to n = Δ as Δ
+    * rises, so it holds at most Δ + 1 entries for the largest Δ of the
+    * instances sharing it: one tracker's.
     */
-  private[core] final case class Arrival(u: Int, v: Int, before: Int, after: Int)
+  private[core] final class SizeTable(val k: Int, eps: Double) {
+    require(k >= 1, "k must be >= 1")
+    require(eps > 0 && eps < 1, "eps must be in (0,1)")
 
-  /** Add edges(from until until), a range of a batch that has passed
-    * [[Tdn.check]], to `tdn`, whose live graph is `graph`, and return its
-    * arrivals in first-occurrence order. The range is not checked again.
-    */
-  private[core] def addTo(tdn: Tdn, graph: Digraph, edges: Array[TimedEdge], from: Int, until: Int): Array[Arrival] = {
-    val pairs  = distinctPairs(edges, from, until)
-    val before = new Array[Int](pairs.length)
-    var i      = 0
-    while (i < pairs.length) { before(i) = graph.expiryOf(tail(pairs(i)), head(pairs(i))); i += 1 }
-    tdn.addChecked(edges, from, until)
-    val out = new Array[Arrival](pairs.length)
-    i = 0
-    while (i < pairs.length) {
-      val u = tail(pairs(i))
-      val v = head(pairs(i))
-      out(i) = Arrival(u, v, before(i), graph.expiryOf(u, v))
-      i += 1
-    }
-    out
-  }
-
-  private def tail(p: Long): Int = (p >>> 32).toInt
-  private def head(p: Long): Int = p.toInt
-
-  /** The distinct non-loop pairs u << 32 | v of edges(from until until), in
-    * first-occurrence order: O(n) expected, through an open-addressing set
-    * with at least twice as many slots as edges. Node ids are ≥ 0, so no
-    * pair is −1, the empty slot.
-    */
-  private def distinctPairs(edges: Array[TimedEdge], from: Int, until: Int): Array[Long] = {
-    val out  = new Array[Long](until - from)
-    val set  = new Array[Long](Integer.highestOneBit(math.max(1, until - from)) << 2)
-    val mask = set.length - 1
-    val bits = Integer.numberOfTrailingZeros(set.length)
-    java.util.Arrays.fill(set, -1L)
-    var n = 0
-    var i = from
-    while (i < until) {
-      val e = edges(i)
-      if (e.u != e.v) {
-        val p = e.u.toLong << 32 | e.v
-        var h = ((p * 0x9e3779b97f4a7c15L) >>> (64 - bits)).toInt // Fibonacci hashing: the product's top bits
-        while (set(h) != -1L && set(h) != p) h = (h + 1) & mask
-        if (set(h) == -1L) { set(h) = p; out(n) = p; n += 1 }
-      }
-      i += 1
-    }
-    java.util.Arrays.copyOf(out, n)
-  }
-
-  /** floorExp(2k·n) for n = 0, 1, …: the window's top exponent when Δ = n,
-    * and the highest exponent whose ⌈θ⌉ a candidate reaching n nodes can
-    * meet. [[cover]] grows it to n = Δ as Δ rises, so it holds at most Δ + 1
-    * entries for the largest Δ of the instances sharing it: one tracker's.
-    */
-  private[core] final class SizeTable(k: Int, eps: Double) {
     private val logBase = math.log1p(eps)
     private var tops    = Array.emptyIntArray
+
+    /** ⌈θ_i⌉ for θ_i = (1+ε)^i / (2k): the least gain sieve i accepts. */
+    def need(i: Int): Int = math.ceil(math.pow(1.0 + eps, i) / (2.0 * k)).toInt
 
     /** Largest exponent i with (1+ε)^i ≤ x. */
     private def floorExp(x: Double): Int = math.floor(math.log(x) / logBase + 1e-9).toInt

@@ -41,9 +41,10 @@ abstract class TdnTracker(k: Int, val universe: Int) extends StreamingInfluenceA
   *
   * The step path is primitive loops over arrays. [[observe]] reads the batch
   * into one array, re-making only the edges whose lifetime it caps, and
-  * checks it once, before any of it changes state; [[SieveAdn.addTo]] then
-  * adds its ranges to the TDN without a second check. The instances share one
-  * [[SieveAdn.SizeTable]].
+  * checks it once, before any of it changes state; the TDN then adds its
+  * ranges without a second check and reports their arrivals. The instances
+  * share one [[SieveAdn.SizeTable]], which holds k and ε and rejects a bad ε
+  * at construction.
   */
 abstract class InstanceListTracker(
     val k: Int,
@@ -51,15 +52,14 @@ abstract class InstanceListTracker(
     val maxLifetime: Int,
     universe: Int,
 ) extends TdnTracker(k, universe) {
-  require(eps > 0 && eps < 1, "eps must be in (0,1)")
+  private val sizes = new SieveAdn.SizeTable(k, eps)
   require(maxLifetime >= 1, "L must be >= 1")
 
   protected val counter = new OracleCounter
-  private val sizes     = new SieveAdn.SizeTable(k, eps)
   // Ascending by cutoff; the head answers the query.
   protected val insts = mutable.ArrayDeque.empty[SieveAdn]
 
-  protected def newInstance(cutoff: Int): SieveAdn = new SieveAdn(k, eps, counter, graph, cutoff, sizes)
+  protected def newInstance(cutoff: Int): SieveAdn = new SieveAdn(counter, graph, cutoff, sizes)
 
   /** Index of the first instance whose cutoff is at least c. */
   protected def indexOf(c: Int): Int = {
@@ -86,14 +86,14 @@ abstract class InstanceListTracker(
     observeCapped(edges)
   }
 
-  /** Add a checked batch whose lifetimes are at most L to G_t, by
-    * [[SieveAdn.addTo]], and feed its arrivals. The array is the tracker's
-    * own, to reorder.
+  /** Add a checked batch whose lifetimes are at most L to G_t, range by
+    * range, and feed each range's arrivals. The array is the tracker's own, to
+    * reorder.
     */
   protected def observeCapped(edges: Array[TimedEdge]): Unit
 
   /** Offer `arrivals` to every instance: each takes the ones it sees. */
-  protected def feed(arrivals: Array[SieveAdn.Arrival]): Unit = {
+  protected def feed(arrivals: Array[Tdn.Arrival]): Unit = {
     var j = 0
     while (j < insts.length) {
       val calls = counter.calls

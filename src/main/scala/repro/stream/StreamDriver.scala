@@ -1,6 +1,7 @@
 package repro.stream
 
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types.IntegerType
 import repro.core.StreamingInfluenceAlgo
 import repro.tdn.{Tdn, TimedEdge}
 
@@ -16,19 +17,25 @@ object StreamDriver {
     def totalEdges: Long = steps.iterator.map(_.size.toLong).sum
   }
 
-  /** The (ts, src, dst, lifetime) columns of `df`, collected to the driver. */
-  private[stream] def collectRows(df: DataFrame): Array[Row] =
-    df.select("ts", "src", "dst", "lifetime").collect()
+  /** The (ts, src, dst, lifetime) columns of `df`, collected to the driver.
+    * Each must be an int column; any other is rejected, naming it and its
+    * type, and not cast, since narrowing a long id would wrap it silently.
+    */
+  private[stream] def collectRows(df: DataFrame): Array[Row] = {
+    val cols = df.select("ts", "src", "dst", "lifetime")
+    val bad  = cols.schema.fields.filter(_.dataType != IntegerType)
+    require(bad.isEmpty,
+      s"interaction columns must be int: ${bad.map(f => s"${f.name} is ${f.dataType.simpleString}").mkString(", ")}")
+    cols.collect()
+  }
 
   /** Each (ts, src, dst, lifetime) row as (ts, edge). A row is rejected,
-    * naming it, unless it has no nulls, ts ≥ 0, src and dst in [0, universe)
-    * and an expiry ts + lifetime that fits in an Int, with lifetime ≥ 1: the
-    * TDN's checks at step ts, made before any step closes.
+    * naming it, unless it has no nulls, ts ≥ 0 and an edge that is
+    * [[Tdn.valid]] at step ts: the TDN's checks, made before any step closes.
     */
   private[stream] def parseRows(rows: Array[Row], universe: Int): Array[(Int, TimedEdge)] = rows.map { r =>
-    def inUniverse(i: Int) = r.getInt(i) >= 0 && r.getInt(i) < universe
-    if ((0 to 3).exists(r.isNullAt) || r.getInt(0) < 0 || !inUniverse(1) || !inUniverse(2) || r.getInt(3) < 1 ||
-        r.getInt(3) > Int.MaxValue - r.getInt(0))
+    if ((0 to 3).exists(r.isNullAt) || r.getInt(0) < 0 ||
+        !Tdn.valid(r.getInt(1), r.getInt(2), r.getInt(3), r.getInt(0), universe))
       throw new IllegalArgumentException(
         s"malformed interaction row $r: need no nulls, ts >= 0, src and dst in [0, $universe), 1 <= lifetime <= Int.MaxValue - ts")
     (r.getInt(0), TimedEdge(r.getInt(1), r.getInt(2), r.getInt(3)))

@@ -46,17 +46,16 @@ final class Tdn {
   /** Current time t. */
   def now: Int = clock
 
-  /** Throws IllegalArgumentException unless every node id in `batch` is ≥ 0
-    * and, once the graph exists, below its universe, and every expiry
-    * now + lifetime fits in an Int.
+  /** Throws IllegalArgumentException, naming the edge and `now`, unless every
+    * edge of `batch` is [[Tdn.valid]] at `now` in the universe of the graph,
+    * or of all ids ≥ 0 before the graph exists.
     */
   def check(batch: Iterable[TimedEdge]): Unit = {
     val n = if (graph == null) Int.MaxValue else graph.universe
     batch.foreach { e =>
-      require(e.u >= 0 && e.v >= 0 && e.u < n && e.v < n, s"edge (${e.u},${e.v}) outside universe $n")
       require(
-        e.lifetime <= Int.MaxValue - clock,
-        s"edge (${e.u},${e.v}) with lifetime ${e.lifetime} would expire past Int.MaxValue at now = $clock",
+        Tdn.valid(e.u, e.v, e.lifetime, clock, n),
+        s"edge (${e.u},${e.v}) with lifetime ${e.lifetime} at now = $clock: need ids in [0, $n) and an expiry that fits in an Int",
       )
     }
   }
@@ -70,11 +69,39 @@ final class Tdn {
   }
 
   /** Add edges(from until until), a range of a batch that has passed
-    * [[check]] at the current time, without checking it again.
+    * [[check]] at the current time, without checking it again, and return
+    * its arrivals: each distinct non-loop pair once, in first-occurrence
+    * order. Adding one pair leaves every other pair's expiry as it is, so a
+    * pair's `before` is the expiry that [[Digraph.addEdge]] reports its first
+    * occurrence replaced, and its `after` the running max of that and its
+    * expiries. Pairs are told apart by an open-addressing set with at least
+    * twice as many slots as edges; node ids are ≥ 0, so no pair is −1, the
+    * empty slot. Needs the graph ([[toDigraph]]).
     */
-  private[repro] def addChecked(edges: Array[TimedEdge], from: Int, until: Int): Unit = {
+  private[repro] def add(edges: Array[TimedEdge], from: Int, until: Int): Array[Tdn.Arrival] = {
+    require(graph != null, "arrivals need the live graph: call toDigraph first")
+    val out  = new Array[Tdn.Arrival](until - from)
+    val set  = new Array[Long](Integer.highestOneBit(math.max(1, until - from)) << 2)
+    val at   = new Array[Int](set.length) // the index in `out` of the pair in set(h)
+    val bits = Integer.numberOfTrailingZeros(set.length)
+    java.util.Arrays.fill(set, -1L)
+    var n = 0
     var i = from
-    while (i < until) { addEdge(edges(i)); i += 1 }
+    while (i < until) {
+      val e = edges(i)
+      val p = e.u.toLong << 32 | e.v
+      val x = clock + e.lifetime
+      insert(p, x)
+      val before = graph.addEdge(e.u, e.v, x)
+      if (e.u != e.v) {
+        var h = ((p * 0x9e3779b97f4a7c15L) >>> (64 - bits)).toInt // Fibonacci hashing: the product's top bits
+        while (set(h) != -1L && set(h) != p) h = (h + 1) & (set.length - 1)
+        if (set(h) == -1L) { set(h) = p; at(h) = n; out(n) = Tdn.Arrival(e.u, e.v, before, math.max(before, x)); n += 1 }
+        else if (x > out(at(h)).after) out(at(h)) = out(at(h)).copy(after = x)
+      }
+      i += 1
+    }
+    java.util.Arrays.copyOf(out, n)
   }
 
   private def addEdge(e: TimedEdge): Unit = {
@@ -186,4 +213,20 @@ final class Tdn {
     require(graph.universe == universe, s"the graph exists over universe ${graph.universe}, not $universe")
     graph
   }
+}
+
+object Tdn {
+
+  /** A distinct non-loop edge of a range just added to the live graph, with
+    * its graph expiry before and after the addition: an instance with cutoff
+    * f had not seen it and now does iff before < f ≤ after.
+    */
+  private[repro] final case class Arrival(u: Int, v: Int, before: Int, after: Int)
+
+  /** The one edge-validity rule: an edge (u, v) arriving at time `now` ≥ 0
+    * with `lifetime` is valid iff both ids are in [0, universe) and
+    * 1 ≤ lifetime ≤ Int.MaxValue − now, so that its expiry fits in an Int.
+    */
+  def valid(u: Int, v: Int, lifetime: Int, now: Int, universe: Int): Boolean =
+    u >= 0 && v >= 0 && u < universe && v < universe && lifetime >= 1 && lifetime <= Int.MaxValue - now
 }

@@ -16,7 +16,7 @@ class DigraphSpec extends AnyFunSuite {
 
   test("addEdge inserts a directed edge and registers both endpoints") {
     val g = new Digraph(10)
-    assert(g.addEdge(1, 2, 5))
+    assert(g.addEdge(1, 2, 5) == Int.MinValue)
     assert(g.expiryOf(1, 2) == 5)
     assert(g.expiryOf(2, 1) == Int.MinValue)
     assert(g.nodeArray.toSeq == Seq(1, 2))
@@ -25,15 +25,15 @@ class DigraphSpec extends AnyFunSuite {
 
   test("self-loops are rejected") {
     val g = new Digraph(10)
-    assert(!g.addEdge(3, 3, Int.MaxValue))
+    assert(g.addEdge(3, 3, Int.MaxValue) == Int.MinValue)
     assert(g.edgeCount == 0)
     assert(g.nodeArray.isEmpty)
   }
 
   test("duplicate edges are deduplicated") {
     val g = new Digraph(10)
-    assert(g.addEdge(1, 2, Int.MaxValue))
-    assert(!g.addEdge(1, 2, Int.MaxValue))
+    assert(g.addEdge(1, 2, Int.MaxValue) == Int.MinValue)
+    assert(g.addEdge(1, 2, Int.MaxValue) == Int.MaxValue)
     assert(g.edgeCount == 1)
     assert(g.reachOf(1).toSeq == Seq(1, 2))
   }
@@ -119,10 +119,10 @@ class DigraphSpec extends AnyFunSuite {
 
   test("adding an edge again raises its expiry to the larger value") {
     val g = new Digraph(4)
-    assert(g.addEdge(0, 1, expiry = 5))
-    assert(!g.addEdge(0, 1, expiry = 9))
+    assert(g.addEdge(0, 1, expiry = 5) == Int.MinValue)
+    assert(g.addEdge(0, 1, expiry = 9) == 5)
     assert(g.expiryOf(0, 1) == 9)
-    assert(!g.addEdge(0, 1, expiry = 2))
+    assert(g.addEdge(0, 1, expiry = 2) == 9)
     assert(g.expiryOf(0, 1) == 9)
     assert(g.edgeCount == 1)
     assert(g.reverseReachOf(Array(1), from = 9).contains(0))
@@ -150,11 +150,11 @@ class DigraphSpec extends AnyFunSuite {
   test("a new edge marks its tail a source; raising its expiry or a self-loop changes nothing") {
     val g = new Digraph(8)
     assert(g.sourceArray.isEmpty)
-    assert(g.addEdge(3, 5, expiry = 4))
+    assert(g.addEdge(3, 5, expiry = 4) == Int.MinValue)
     assert(g.sourceArray.toSeq == Seq(3))
-    assert(!g.addEdge(3, 5, expiry = 9))
+    assert(g.addEdge(3, 5, expiry = 9) == 4)
     assert(g.sourceArray.toSeq == Seq(3))
-    assert(!g.addEdge(6, 6, expiry = 9))
+    assert(g.addEdge(6, 6, expiry = 9) == Int.MinValue)
     assert(g.sourceArray.toSeq == Seq(3) && g.nodeArray.toSeq == Seq(3, 5))
     g.addEdge(5, 1, expiry = 2)
     assert(g.sourceArray.toSeq == Seq(3, 5))

@@ -24,7 +24,7 @@ final class PerInstanceBasicReduction(
   // Head (index 0) is A_1.
   private val instances = mutable.ArrayDeque.tabulate(maxLifetime)(i => newInstance(i + 1))
 
-  private def newInstance(cutoff: Int): SieveAdn = new SieveAdn(k, eps, counter, graph, cutoff, sizes)
+  private def newInstance(cutoff: Int): SieveAdn = new SieveAdn(counter, graph, cutoff, sizes)
 
   override def name: String = "PerInstanceBasicReduction"
 
@@ -36,7 +36,7 @@ final class PerInstanceBasicReduction(
     // reaching its cutoff.
     val capped   = batch.map(e => if (e.lifetime > maxLifetime) e.copy(lifetime = maxLifetime) else e).toArray
     tdn.check(capped)
-    val arrivals = SieveAdn.addTo(tdn, graph, capped, 0, capped.length)
+    val arrivals = tdn.add(capped, 0, capped.length)
     if (arrivals.isEmpty) return
     // A_i sees an arrival iff before < t + i ≤ after, so only the instances
     // with cutoff in (min before, max after] can see any: feed just those.

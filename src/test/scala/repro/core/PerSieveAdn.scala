@@ -47,7 +47,7 @@ final class PerSieveAdn(
 
   /** Add a batch to a stand-alone instance's own graph and update. */
   def process(batch: Seq[(Int, Int)]): Unit = {
-    val inserted = batch.filter { case (u, v) => graph.addEdge(u, v, Int.MaxValue) }
+    val inserted = batch.filter { case (u, v) => u != v && graph.addEdge(u, v, Int.MaxValue) == Int.MinValue }
     update(inserted.map(_._1).toArray, inserted.map(_._2).toArray)
   }
 

@@ -56,7 +56,7 @@ class SieveAdnRunsSpec extends AnyFunSuite {
       val (sc, rc)           = (new OracleCounter, new OracleCounter)
       // Each pair shares one graph; a copy at cutoff 5 also sees expiry 7.
       val pairs = mutable.ArrayBuffer(
-        (new SieveAdn(k, eps, sc, g, 10, new SieveAdn.SizeTable(k, eps)), new PerSieveAdn(k, eps, rc, g, 10)))
+        (new SieveAdn(sc, g, 10, new SieveAdn.SizeTable(k, eps)), new PerSieveAdn(k, eps, rc, g, 10)))
       val expiry = mutable.Map.empty[(Int, Int), Int]
       val copyAt = 5 + rnd.nextInt(25)
 
@@ -105,7 +105,7 @@ class SieveAdnRunsSpec extends AnyFunSuite {
       val g                  = new Digraph(universe)
       val counter            = new OracleCounter
       // Ascending by cutoff.
-      val insts              = mutable.ArrayBuffer(new SieveAdn(k, eps, counter, g, 30, new SieveAdn.SizeTable(k, eps)))
+      val insts              = mutable.ArrayBuffer(new SieveAdn(counter, g, 30, new SieveAdn.SizeTable(k, eps)))
       val expiry             = mutable.Map.empty[(Int, Int), Int]
 
       def update(s: SieveAdn, edges: Seq[(Int, Int)], at: String): Unit = {

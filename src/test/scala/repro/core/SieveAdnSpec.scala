@@ -187,8 +187,8 @@ class SieveAdnSpec extends AnyFunSuite {
       val g        = new Digraph(n)
       val cutoff   = 5
       val (ca, cb) = (new OracleCounter, new OracleCounter)
-      val tidy     = new SieveAdn(k, 0.2, ca, g, cutoff, new SieveAdn.SizeTable(k, 0.2))
-      val messy    = new SieveAdn(k, 0.2, cb, g, cutoff, new SieveAdn.SizeTable(k, 0.2))
+      val tidy     = new SieveAdn(ca, g, cutoff, new SieveAdn.SizeTable(k, 0.2))
+      val messy    = new SieveAdn(cb, g, cutoff, new SieveAdn.SizeTable(k, 0.2))
       for (round <- 0 until 25) {
         val ctx   = s"seed=$seed round=$round"
         val batch = Seq.fill(1 + rng.nextInt(6)) {
@@ -225,30 +225,14 @@ class SieveAdnSpec extends AnyFunSuite {
     }
   }
 
-  test("addTo adds its range and returns each distinct non-loop pair once, in first-occurrence order") {
-    val rnd = new Random(31L)
-    for (round <- 0 until 40) {
-      val universe = 2 + rnd.nextInt(30)
-      val tdn      = new repro.tdn.Tdn
-      val g        = tdn.toDigraph(universe)
-      for (step <- 0 until 5) {
-        val edges = Array.fill(1 + rnd.nextInt(400)) {
-          repro.tdn.TimedEdge(rnd.nextInt(universe), rnd.nextInt(universe), 1 + rnd.nextInt(9))
-        }
-        val from   = rnd.nextInt(edges.length)
-        val until  = from + rnd.nextInt(edges.length - from + 1)
-        val range  = edges.slice(from, until)
-        val pairs  = range.filter(e => e.u != e.v).map(e => (e.u, e.v)).distinct
-        val before = pairs.map { case (u, v) => g.expiryOf(u, v) }
-        val alive  = tdn.aliveCount
-        val got    = SieveAdn.addTo(tdn, g, edges, from, until)
-        val ctx    = s"round $round step $step range [$from, $until) of ${edges.length}"
-        assert(got.map(a => (a.u, a.v)).toSeq == pairs.toSeq, ctx)
-        assert(got.map(_.before).toSeq == before.toSeq, ctx)
-        assert(got.forall(a => a.after == g.expiryOf(a.u, a.v)), ctx)
-        assert(tdn.aliveCount == alive + range.length, ctx) // the range and only the range
-        tdn.advance()
-      }
+  test("the ladder's two directions agree: need(t(n)) <= n < need(t(n) + 1)") {
+    // t(n) = floorExp(2k·n) is the highest exponent whose ⌈θ⌉ a candidate
+    // reaching n nodes can meet; SieveADN's pruning (hv = sizes(|r|)) rests on it.
+    for (k <- Seq(1, 3, 10, 50, 100); eps <- Seq(0.05, 0.1, 0.2, 0.3)) {
+      val t = new SieveAdn.SizeTable(k, eps)
+      t.cover(20000)
+      val wrong = (1 to 20000).find(n => !(t.need(t(n)) <= n && n < t.need(t(n) + 1)))
+      assert(wrong.isEmpty, s"k=$k eps=$eps n=$wrong")
     }
   }
 

@@ -4,7 +4,7 @@ import repro.tdn.{Tdn, TimedEdge}
 
 /** SieveADN instances over one TDN's live graph, driven the way
   * [[InstanceListTracker]] drives its own: [[add]] checks a batch with
-  * [[Tdn.check]], adds it with [[SieveAdn.addTo]] and feeds its arrivals to
+  * [[Tdn.check]], adds it with [[Tdn.add]] and feeds its arrivals to
   * each instance given, which takes those it sees. The clock stays at 0, so
   * an edge's lifetime is its expiry.
   *
@@ -19,7 +19,7 @@ final class TdnFeed(universe: Int) {
 
   /** A new SieveADN over the graph, with its own size table. */
   def sieve(k: Int, eps: Double, cutoff: Int = 1, counter: OracleCounter = new OracleCounter): SieveAdn =
-    new SieveAdn(k, eps, counter, graph, cutoff, new SieveAdn.SizeTable(k, eps))
+    new SieveAdn(counter, graph, cutoff, new SieveAdn.SizeTable(k, eps))
 
   /** Add `pairs` with `lifetime` and feed the arrivals to each of `insts`; a
     * batch that fails the TDN's check changes nothing.
@@ -27,7 +27,7 @@ final class TdnFeed(universe: Int) {
   def add(pairs: Seq[(Int, Int)], lifetime: Int, insts: SieveAdn*): Unit = {
     val edges = pairs.map { case (u, v) => TimedEdge(u, v, lifetime) }.toArray
     tdn.check(edges)
-    val arrivals = SieveAdn.addTo(tdn, graph, edges, 0, edges.length)
+    val arrivals = tdn.add(edges, 0, edges.length)
     insts.foreach(_.feed(arrivals))
   }
 }

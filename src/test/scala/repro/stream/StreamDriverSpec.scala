@@ -46,6 +46,14 @@ class StreamDriverSpec extends SparkSpec {
     assert(e2.getMessage.contains("[-1,4,5,2]"), e2.getMessage)
   }
 
+  test("batchesFromDf rejects a non-int column, naming each such column and its type") {
+    import spark.implicits._
+    val df = Seq((0, 1L, 2, 3L), (1, 4L, 5, 2L)).toDF("ts", "src", "dst", "lifetime")
+    val e  = intercept[IllegalArgumentException](StreamDriver.batchesFromDf(df, 10, maxSteps = 5))
+    assert(e.getMessage.contains("src is bigint") && e.getMessage.contains("lifetime is bigint"), e.getMessage)
+    assert(!e.getMessage.contains("ts is") && !e.getMessage.contains("dst is"), e.getMessage)
+  }
+
   test("run rejects two trackers with the same name, listing it") {
     val b = smallBatches
     val e = intercept[IllegalArgumentException] {

@@ -57,6 +57,15 @@ class StructuredRunnerSpec extends SparkSpec {
     assert(runner.currentStep == 0 && runner.results.isEmpty)
   }
 
+  test("a micro-batch with a non-int column is rejected, naming it, before any step closes") {
+    import spark.implicits._
+    val runner = new StructuredTdnRunner(new HistApprox(1, 0.2, 40, 10), 10)
+    val df     = Seq((0, 1L, 2, 3), (1, 3L, 4, 1)).toDF("ts", "src", "dst", "lifetime")
+    val e      = intercept[IllegalArgumentException](runner.processMicroBatch(df))
+    assert(e.getMessage.contains("src is bigint"), e.getMessage)
+    assert(runner.currentStep == 0 && runner.results.isEmpty)
+  }
+
   test("drainTo closes empty steps") {
     val runner = new StructuredTdnRunner(new HistApprox(1, 0.2, 40, 10), 10)
     runner.drainTo(7)

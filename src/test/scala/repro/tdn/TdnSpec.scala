@@ -184,6 +184,52 @@ class TdnSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](new Tdn().edgesExpiringIn(0, 1))
   }
 
+  test("a range add reports each distinct non-loop pair once in order") {
+    val rnd = new Random(31L)
+    for (round <- 0 until 40) {
+      val universe = 2 + rnd.nextInt(30)
+      val tdn      = new Tdn
+      val g        = tdn.toDigraph(universe)
+      for (step <- 0 until 5) {
+        val edges = Array.fill(1 + rnd.nextInt(400)) {
+          TimedEdge(rnd.nextInt(universe), rnd.nextInt(universe), 1 + rnd.nextInt(9))
+        }
+        val from   = rnd.nextInt(edges.length)
+        val until  = from + rnd.nextInt(edges.length - from + 1)
+        val range  = edges.slice(from, until)
+        val pairs  = range.filter(e => e.u != e.v).map(e => (e.u, e.v)).distinct
+        val before = pairs.map { case (u, v) => g.expiryOf(u, v) }
+        val alive  = tdn.aliveCount
+        val got    = tdn.add(edges, from, until)
+        val ctx    = s"round $round step $step range [$from, $until) of ${edges.length}"
+        assert(got.map(a => (a.u, a.v)).toSeq == pairs.toSeq, ctx)
+        assert(got.map(_.before).toSeq == before.toSeq, ctx)
+        assert(got.forall(a => a.after == g.expiryOf(a.u, a.v)), ctx)
+        assert(tdn.aliveCount == alive + range.length, ctx) // the range and only the range
+        tdn.advance()
+      }
+    }
+  }
+
+  test("a pair repeated in a range keeps its pre-range expiry as before and its max as after") {
+    val tdn = new Tdn
+    val g   = tdn.toDigraph(4)
+    tdn.add(Seq(TimedEdge(0, 1, 2)))
+    val got = tdn.add(Array(TimedEdge(0, 1, 5), TimedEdge(2, 3, 1), TimedEdge(0, 1, 3)), 0, 3)
+    assert(got.toSeq == Seq(Tdn.Arrival(0, 1, 2, 5), Tdn.Arrival(2, 3, Int.MinValue, 1)))
+    assert(g.expiryOf(0, 1) == 5 && tdn.aliveCount == 4)
+    // A repeat below the pair's expiry leaves after at it.
+    assert(tdn.add(Array(TimedEdge(0, 1, 1), TimedEdge(0, 1, 4)), 0, 2).toSeq == Seq(Tdn.Arrival(0, 1, 5, 5)))
+  }
+
+  test("a range of only self-loops reports no arrival but enters the multiset") {
+    val tdn = new Tdn
+    val g   = tdn.toDigraph(4)
+    assert(tdn.add(Array(TimedEdge(2, 2, 3), TimedEdge(1, 1, 1), TimedEdge(2, 2, 5)), 0, 3).isEmpty)
+    assert(tdn.aliveCount == 3 && g.edgeCount == 0)
+    intercept[IllegalArgumentException](new Tdn().add(Array(TimedEdge(0, 1, 1)), 0, 1))
+  }
+
   test("the expiry index agrees with a naive multiset through adds and advances") {
     for (seed <- 0L until 40L) {
       val rng   = new Random(seed)

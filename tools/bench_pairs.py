@@ -9,9 +9,11 @@ Exports both commits with `git archive` into fresh directories under
 pair to pair. Each run's output is kept in .bench_build/pairs/logs/. For each
 --workload given (the option repeats; workloads run one after another), prints,
 per end-to-end metric of the head's BENCHMARK.json, both sides' median and
-quartiles and how many pairs the head won. Once every workload has run, it
-appends one row per workload with the same statistics to BENCH_perfbench.json
-at the repository root.
+quartiles, how many pairs the head won and a no-regression verdict (see
+`regression`: `worse`, `unresolved` or `ok`). Once every workload has run, it
+appends one row per workload with the same statistics and verdicts to
+BENCH_perfbench.json at the repository root, and the exit code is 1 if any
+metric is `worse`.
 
 With --claim, also applies the claim protocol to that metric on the first
 workload listed (the others are only compared): the head must
@@ -20,6 +22,8 @@ must beat the base's by more than the base's quartile spread. The verdict is
 printed and recorded, and the exit code is 1 if the claim does not hold. A
 run that fails (a build error, a failed check or a failed step) stops the
 script before anything is recorded.
+
+The verdict's examples run with `python3 -m doctest tools/bench_pairs.py`.
 """
 
 import argparse
@@ -90,6 +94,37 @@ def fmt(s):
     return f"{s['median']:.5g} [{s['q1']:.5g}, {s['q3']:.5g}]"
 
 
+def regression(base, head, better, bound):
+    """The no-regression verdict on one metric, from its runs on each side.
+
+    `worse`: the head median is worse than the base median by more than
+    `bound` times the base median. `unresolved`: not worse, but the base's
+    quartile spread exceeds that same margin and not every head run beats
+    every base run, so the runs are too spread to show that nothing moved.
+    `ok`: neither.
+
+    >>> regression([100, 101, 99, 100], [70, 71, 69, 70], "higher", 0.25)
+    'worse'
+    >>> regression([100, 101, 99, 100], [90, 91, 89, 90], "higher", 0.25)
+    'ok'
+    >>> regression([50, 80, 120, 150], [95, 96, 94, 95], "higher", 0.25)
+    'unresolved'
+    >>> regression([50, 80, 120, 150], [151, 152, 160, 155], "higher", 0.25)
+    'ok'
+    >>> regression([1.0, 1.0, 1.1, 0.9], [1.3, 1.3, 1.3, 1.3], "lower", 0.25)
+    'worse'
+    """
+    b, h = summary(base), summary(head)
+    margin = bound * abs(b["median"])
+    gap = h["median"] - b["median"] if better == "higher" else b["median"] - h["median"]
+    if gap < -margin:
+        return "worse"
+    beats_all = min(head) > max(base) if better == "higher" else max(head) < min(base)
+    if b["q3"] - b["q1"] > margin and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
 def compare(trees, metrics, workload, a):
     """Run a.pairs alternating pairs on `workload` and return per-metric statistics."""
     results = {"base": [], "head": []}
@@ -106,15 +141,16 @@ def compare(trees, metrics, workload, a):
                   + " ".join(f"{k}={v['value']:.4g}" for k, v in res.items()), flush=True)
 
     rows = {}
-    print(f"\n{workload:<20} {'base median [q1, q3]':>32} {'head median [q1, q3]':>32}  wins")
+    print(f"\n{workload:<20} {'base median [q1, q3]':>32} {'head median [q1, q3]':>32}  wins  verdict")
     for name, m in metrics.items():
         b = [r[name]["value"] for r in results["base"]]
         h = [r[name]["value"] for r in results["head"]]
         better = (lambda x, y: x > y) if m["better"] == "higher" else (lambda x, y: x < y)
         wins = sum(better(y, x) for x, y in zip(b, h))
         rows[name] = {"unit": m["unit"], "better": m["better"], "base": summary(b), "head": summary(h),
-                      "wins": wins}
-        print(f"{name:<20} {fmt(rows[name]['base']):>32} {fmt(rows[name]['head']):>32}  {wins}/{a.pairs}")
+                      "wins": wins, "verdict": regression(b, h, m["better"], m["bound"])}
+        print(f"{name:<20} {fmt(rows[name]['base']):>32} {fmt(rows[name]['head']):>32}  "
+              f"{wins:>2}/{a.pairs}  {rows[name]['verdict']}")
     return rows
 
 
@@ -166,8 +202,11 @@ def main():
     ledger = json.loads(LEDGER.read_text()) if LEDGER.is_file() else []
     LEDGER.write_text(json.dumps(ledger + entries, indent=1) + "\n")
     print(f"appended {len(entries)} row(s) to {LEDGER.name}")
+    worse = [f"{e['workload']} {n}" for e in entries for n, r in e["metrics"].items() if r["verdict"] == "worse"]
+    if worse:
+        print("worse than the base by more than the bound: " + ", ".join(worse))
     holds = all(e["claim"] is None or e["claim"]["holds"] for e in entries)
-    return 0 if holds else 1
+    return 0 if holds and not worse else 1
 
 
 if __name__ == "__main__":
