@@ -30,14 +30,15 @@ object StreamDriver {
   }
 
   /** Each (ts, src, dst, lifetime) row as (ts, edge). A row is rejected,
-    * naming it, unless it has no nulls, ts ≥ 0 and an edge that is
-    * [[Tdn.valid]] at step ts: the TDN's checks, made before any step closes.
+    * naming it, unless its four fields are ints (not null, and not a long
+    * that would be narrowed), ts ≥ 0 and its edge is [[Tdn.valid]] at step
+    * ts: the TDN's checks, made before any step closes.
     */
   private[stream] def parseRows(rows: Array[Row], universe: Int): Array[(Int, TimedEdge)] = rows.map { r =>
-    if ((0 to 3).exists(r.isNullAt) || r.getInt(0) < 0 ||
+    if (!(0 to 3).forall(i => r.get(i).isInstanceOf[Int]) || r.getInt(0) < 0 ||
         !Tdn.valid(r.getInt(1), r.getInt(2), r.getInt(3), r.getInt(0), universe))
       throw new IllegalArgumentException(
-        s"malformed interaction row $r: need no nulls, ts >= 0, src and dst in [0, $universe), 1 <= lifetime <= Int.MaxValue - ts")
+        s"malformed interaction row $r: need four int fields, ts >= 0, src and dst in [0, $universe), 1 <= lifetime <= Int.MaxValue - ts")
     (r.getInt(0), TimedEdge(r.getInt(1), r.getInt(2), r.getInt(3)))
   }
 

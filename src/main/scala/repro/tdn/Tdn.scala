@@ -227,6 +227,6 @@ object Tdn {
     * with `lifetime` is valid iff both ids are in [0, universe) and
     * 1 ≤ lifetime ≤ Int.MaxValue − now, so that its expiry fits in an Int.
     */
-  def valid(u: Int, v: Int, lifetime: Int, now: Int, universe: Int): Boolean =
+  private[repro] def valid(u: Int, v: Int, lifetime: Int, now: Int, universe: Int): Boolean =
     u >= 0 && v >= 0 && u < universe && v < universe && lifetime >= 1 && lifetime <= Int.MaxValue - now
 }

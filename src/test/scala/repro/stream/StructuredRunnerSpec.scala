@@ -63,6 +63,10 @@ class StructuredRunnerSpec extends SparkSpec {
     val df     = Seq((0, 1L, 2, 3), (1, 3L, 4, 1)).toDF("ts", "src", "dst", "lifetime")
     val e      = intercept[IllegalArgumentException](runner.processMicroBatch(df))
     assert(e.getMessage.contains("src is bigint"), e.getMessage)
+    // The same rows handed over directly, as the streaming job does, are
+    // rejected by the row check, naming the first.
+    val r = intercept[IllegalArgumentException](runner.processRows(df.collect()))
+    assert(r.getMessage.contains("[0,1,2,3]"), r.getMessage)
     assert(runner.currentStep == 0 && runner.results.isEmpty)
   }
 
